@@ -9,12 +9,13 @@ the indicator and LRU store building blocks, and a trace-driven simulator
 over network topologies.
 """
 
-from .cbf import CountingBloomFilter, expected_fpr, size_for_target_fpr
+from .cbf import CountingBloomFilter, FilterBank, expected_fpr, size_for_target_fpr
 from .core import (
     RHO_MAX,
     RHO_MIN,
     CostBreakdown,
     DatastoreProfile,
+    InvariantError,
     SelectionContext,
     clamp_mis_ratio,
     expected_cost,
@@ -83,12 +84,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CountingBloomFilter",
+    "FilterBank",
     "expected_fpr",
     "size_for_target_fpr",
     "RHO_MAX",
     "RHO_MIN",
     "CostBreakdown",
     "DatastoreProfile",
+    "InvariantError",
     "SelectionContext",
     "clamp_mis_ratio",
     "expected_cost",

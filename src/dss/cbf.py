@@ -1,23 +1,34 @@
-"""Counting Bloom filter with saturating 8-bit counters.
+"""Counting Bloom filters with saturating 8-bit counters.
 
 The membership indicator each datastore exposes: insertions bump
 ``num_hashes`` counters, removals decrement them, and a query answers yes
 iff all of them are positive. Present items are never denied (no false
 negatives); absent items may be confirmed with the usual Bloom false
 positive rate. A counter that climbs to 255 turns sticky and is never
-decremented again, trading a little extra false-positive mass for overflow
-safety.
+changed again, trading a little extra false-positive mass for overflow
+safety. Only saturation reaches 255, so the value itself is the sticky mark.
 
 Hashing is double hashing: a single keyed 128-bit digest per item supplies
 two 64-bit halves h1, h2 and index i is (h1 + i*h2) mod m. The digest is
 keyed by the filter seed (blake2b), so placements are reproducible across
 processes regardless of interpreter hash randomization.
+
+A ``FilterBank`` holds equally sized filters as the rows of one counter
+buffer, so "which filters indicate x?" is one gather over the item's index
+block (its counter indexes in every row). A ``CountingBloomFilter`` is one
+row of a bank; standing alone it is the single row of a bank of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .core import InvariantError
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,71 +72,168 @@ def expected_fpr(capacity: int, num_counters: int, num_hashes: int) -> float:
     return (1.0 - math.exp(-num_hashes * capacity / num_counters)) ** num_hashes
 
 
-class CountingBloomFilter:
-    """Seeded counting Bloom filter over opaque item ids."""
+def index_block(
+    item, seeds: Sequence[int], num_counters: int, num_hashes: int
+) -> np.ndarray:
+    """An item's counter indexes in filters laid end to end in one buffer,
+    one filter of ``num_counters`` counters per seed: ``num_hashes`` flat
+    indexes per filter, filter by filter.
 
-    __slots__ = ("num_counters", "num_hashes", "seed", "counters", "sticky", "_key", "_pairs")
+    h1 and h2 are reduced mod m before the arithmetic, which keeps
+    (h1 + i*h2) mod m exact in 64 bits.
+    """
+    payload = _item_bytes(item)
+    digests = b"".join(
+        hashlib.blake2b(
+            payload, digest_size=16, key=(seed & _MASK64).to_bytes(8, "little")
+        ).digest()
+        for seed in seeds
+    )
+    halves = np.frombuffer(digests, dtype="<u8").reshape(len(seeds), 2)
+    m = np.uint64(num_counters)
+    h1 = halves[:, :1] % m
+    # Odd stride so double hashing never collapses to one index.
+    h2 = (halves[:, 1:] | np.uint64(1)) % m
+    cols = (h1 + np.arange(num_hashes, dtype=np.uint64) * h2) % m
+    rows = np.arange(len(seeds), dtype=np.uint64)[:, None] * m
+    return (rows + cols).ravel().astype(np.int64)
 
-    def __init__(self, num_counters: int, num_hashes: int = 5, seed: int = 0):
+
+class FilterBank:
+    """Counting Bloom filters of equal size, one per seed, as the rows of one
+    uint8 counter buffer.
+
+    ``block(item)`` gives the item's index block (see ``index_block``). By
+    default it hashes the item on every call; a caller that sees the same
+    items again and again can pass a lookup table instead. ``insert``,
+    ``remove`` and ``query`` take flat counter indexes, such as one filter's
+    slice of a block.
+    """
+
+    __slots__ = ("seeds", "num_counters", "num_hashes", "block", "_buf", "_flat")
+
+    def __init__(
+        self,
+        seeds: Sequence[int],
+        num_counters: int,
+        num_hashes: int = 5,
+        block: Callable[[object], np.ndarray] | None = None,
+    ):
+        if not seeds:
+            raise ValueError("a filter bank needs at least one seed")
         if num_counters < 1:
             raise ValueError(f"num_counters must be >= 1, got {num_counters}")
         if num_hashes < 1:
             raise ValueError(f"num_hashes must be >= 1, got {num_hashes}")
+        self.seeds = tuple(s & _MASK64 for s in seeds)
         self.num_counters = num_counters
         self.num_hashes = num_hashes
-        self.seed = seed & _MASK64
-        self.counters = bytearray(num_counters)
-        self.sticky: set[int] = set()
-        self._key = self.seed.to_bytes(8, "little")
-        self._pairs: dict = {}  # item -> (h1, h2); static per item, so cacheable
+        self.block = block or functools.partial(
+            index_block, seeds=self.seeds, num_counters=num_counters, num_hashes=num_hashes
+        )
+        # Python-level updates go through the bytearray, gathers through the
+        # numpy view of the same memory.
+        self._buf = bytearray(len(self.seeds) * num_counters)
+        self._flat = np.frombuffer(self._buf, dtype=np.uint8)
 
-    def _hash_pair(self, item) -> tuple[int, int]:
-        pair = self._pairs.get(item)
-        if pair is None:
-            digest = hashlib.blake2b(
-                _item_bytes(item), digest_size=16, key=self._key
-            ).digest()
-            h1 = int.from_bytes(digest[:8], "little")
-            # Odd stride so double hashing never collapses to one index.
-            h2 = int.from_bytes(digest[8:], "little") | 1
-            pair = (h1, h2)
-            self._pairs[item] = pair
-        return pair
+    @property
+    def counters(self) -> np.ndarray:
+        """The counters, one row per filter (a view, not a copy)."""
+        return self._flat.reshape(len(self.seeds), self.num_counters)
 
-    def _indexes(self, item) -> list[int]:
-        h1, h2 = self._hash_pair(item)
-        m = self.num_counters
-        return [(h1 + i * h2) % m for i in range(self.num_hashes)]
+    def filter(self, row: int) -> CountingBloomFilter:
+        """The bank's row-th filter, a view that shares the counters."""
+        if not 0 <= row < len(self.seeds):
+            raise IndexError(f"filter row {row} outside 0..{len(self.seeds) - 1}")
+        return CountingBloomFilter._view(self, row)
 
-    def insert(self, item) -> None:
-        counters = self.counters
-        for idx in self._indexes(item):
-            if idx in self.sticky:
+    def positives(self, block: np.ndarray) -> list[int]:
+        """Rows whose counters under the item's index block are all positive."""
+        hits = self._flat.take(block).reshape(len(self.seeds), self.num_hashes).all(axis=1)
+        return hits.nonzero()[0].tolist()
+
+    def insert(self, indexes: Sequence[int]) -> None:
+        buf = self._buf
+        for idx in indexes:
+            value = buf[idx]
+            if value != 255:
+                buf[idx] = value + 1
+
+    def remove(self, indexes: Sequence[int]) -> None:
+        """Undo one prior insert at these indexes. A counter already at zero
+        means the item was never inserted, which would corrupt the filter."""
+        buf = self._buf
+        for idx in indexes:
+            value = buf[idx]
+            if value == 255:
                 continue
-            value = counters[idx]
-            if value >= 254:
-                counters[idx] = 255
-                self.sticky.add(idx)
-            else:
-                counters[idx] = value + 1
+            if value == 0:
+                raise InvariantError("counter underflow: remove without insert")
+            buf[idx] = value - 1
 
-    def remove(self, item) -> None:
-        """Undo one prior insert of this item. Removing an item that was
-        never inserted corrupts the filter; the underflow assert catches the
-        cheap-to-detect case."""
-        counters = self.counters
-        for idx in self._indexes(item):
-            if idx in self.sticky:
-                continue
-            assert counters[idx] > 0, "counter underflow: remove without insert"
-            counters[idx] -= 1
-
-    def query(self, item) -> bool:
-        counters = self.counters
-        for idx in self._indexes(item):
-            if counters[idx] == 0:
+    def query(self, indexes: Sequence[int]) -> bool:
+        buf = self._buf
+        for idx in indexes:
+            if buf[idx] == 0:
                 return False
         return True
+
+
+class CountingBloomFilter:
+    """Seeded counting Bloom filter over opaque item ids: one row of a
+    ``FilterBank``."""
+
+    __slots__ = ("bank", "row", "_span")
+
+    def __init__(self, num_counters: int, num_hashes: int = 5, seed: int = 0):
+        self._attach(FilterBank((seed,), num_counters, num_hashes), 0)
+
+    @classmethod
+    def _view(cls, bank: FilterBank, row: int) -> CountingBloomFilter:
+        view = cls.__new__(cls)
+        view._attach(bank, row)
+        return view
+
+    def _attach(self, bank: FilterBank, row: int) -> None:
+        self.bank = bank
+        self.row = row
+        self._span = slice(row * bank.num_hashes, (row + 1) * bank.num_hashes)
+
+    @property
+    def num_counters(self) -> int:
+        return self.bank.num_counters
+
+    @property
+    def num_hashes(self) -> int:
+        return self.bank.num_hashes
+
+    @property
+    def seed(self) -> int:
+        return self.bank.seeds[self.row]
+
+    @property
+    def counters(self) -> memoryview:
+        m = self.bank.num_counters
+        return memoryview(self.bank._buf)[self.row * m:(self.row + 1) * m]
+
+    @property
+    def sticky(self) -> frozenset[int]:
+        """Indexes of the counters that saturated at 255."""
+        return frozenset(i for i, value in enumerate(self.counters) if value == 255)
+
+    def _indexes(self, item) -> list[int]:
+        return self.bank.block(item)[self._span].tolist()
+
+    def insert(self, item) -> None:
+        self.bank.insert(self._indexes(item))
+
+    def remove(self, item) -> None:
+        """Undo one prior insert of this item; raises InvariantError on the
+        cheap-to-detect sign of removing an item never inserted."""
+        self.bank.remove(self._indexes(item))
+
+    def query(self, item) -> bool:
+        return self.bank.query(self._indexes(item))
 
     def __contains__(self, item) -> bool:
         return self.query(item)

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import fileio
-from .core import DatastoreProfile, SelectionContext, expected_cost
+from .core import DatastoreProfile, InvariantError, SelectionContext, expected_cost
 from .homogeneous import hit_grid, homogeneous_sweep, write_sweep_csv
 from .sim import (
     DEFAULT_BENCH_STRATEGIES,
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except (fileio.FileFormatError, OSError, ValueError) as exc:
         print(f"dss: error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"dss: internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

@@ -28,6 +28,14 @@ RHO_MAX = 1.0 - 1e-12
 RHO_MIN = 1e-12
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a bug or misuse, not bad input data.
+
+    Raised instead of ``assert`` so that ``python -O`` keeps the check, and
+    deliberately not a ``ValueError``, which the CLI reports as bad input.
+    """
+
+
 def positive_prob(hit_ratio: float, fpr: float) -> float:
     """Probability that a store's indicator answers yes.
 

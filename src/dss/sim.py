@@ -13,17 +13,23 @@ A run with the ground-truth baseline strategy ("pi": access the single
 cheapest store that truly holds the item) under the same seed and trace
 provides the normalizer: reported AC and TC divide by the baseline's total
 cost, so 1.0 means "as good as never being misled".
+
+An item's hashes (its counter indexes in every store's filter and its store
+ranking for placement) depend only on the seed and the item, so runs that
+share a seed share one table of them: a grid hashes each item once per seed,
+not once per cell.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cbf import CountingBloomFilter, _item_bytes, size_for_target_fpr
+from .cbf import FilterBank, _item_bytes, index_block, size_for_target_fpr
 from .core import DatastoreProfile, SelectionContext, clamp_mis_ratio
 from .datastore import Datastore
 from .strategies import (
@@ -139,29 +145,111 @@ def designated_stores(item, k: int, n_stores: int, seed: int) -> tuple[int, ...]
     """
     if not (1 <= k <= n_stores):
         raise ValueError(f"k must lie in 1..{n_stores}, got {k}")
+    return tuple(sorted(_store_ranking(item, n_stores, seed)[:k]))
+
+
+def _store_ranking(item, n_stores: int, seed: int) -> list[int]:
+    """Stores by descending keyed score of the item, ties toward the lower id."""
     key = (seed & (1 << 64) - 1).to_bytes(8, "little")
-    payload = _item_bytes(item)
+    prefix = hashlib.blake2b(_item_bytes(item), digest_size=8, key=key)
     scores = []
     for j in range(n_stores):
-        digest = hashlib.blake2b(
-            payload + j.to_bytes(4, "little"), digest_size=8, key=key
-        ).digest()
-        scores.append((int.from_bytes(digest, "little"), j))
-    scores.sort(key=lambda s: (-s[0], s[1]))
-    return tuple(sorted(j for _, j in scores[:k]))
+        h = prefix.copy()
+        h.update(j.to_bytes(4, "little"))
+        scores.append((-int.from_bytes(h.digest(), "little"), j))
+    scores.sort()
+    return [j for _, j in scores]
 
 
-def _build_stores(config: SimConfig, n_stores: int) -> list[Datastore]:
-    counters = size_for_target_fpr(
+# Rows per chunk of the item-hash table. Chunks are never copied as the
+# table grows, and at most one is partly empty.
+_CHUNK_ROWS = 1024
+
+
+class _ItemHashes:
+    """Hash state per distinct item for one seed, filled as items first
+    appear: the item's index block in every store's filter, and its store
+    ranking, whose first k entries are ``designated_stores(item, k, ...)``.
+
+    Rows live in fixed-size array chunks (an int32 index block and a
+    small-int ranking per item), not in per-item Python containers.
+    """
+
+    __slots__ = ("seed", "filter_seeds", "num_counters", "num_hashes",
+                 "_rows", "_blocks", "_ranks", "_index_type", "_rank_type")
+
+    def __init__(self, seed: int, n_stores: int, num_counters: int, num_hashes: int):
+        self.seed = seed
+        self.filter_seeds = tuple(seed * 1_000_003 + j for j in range(n_stores))
+        self.num_counters = num_counters
+        self.num_hashes = num_hashes
+        self._rows: dict = {}
+        self._blocks: list[np.ndarray] = []
+        self._ranks: list[np.ndarray] = []
+        self._index_type = np.int32 if n_stores * num_counters <= 2**31 else np.int64
+        self._rank_type = np.min_scalar_type(n_stores - 1)
+
+    def block(self, item) -> np.ndarray:
+        chunk, offset = divmod(self._row(item), _CHUNK_ROWS)
+        return self._blocks[chunk][offset]
+
+    def placement(self, item, k: int) -> tuple[int, ...]:
+        """Same as designated_stores(item, k, n_stores, seed)."""
+        chunk, offset = divmod(self._row(item), _CHUNK_ROWS)
+        return tuple(sorted(self._ranks[chunk][offset, :k].tolist()))
+
+    def _row(self, item) -> int:
+        row = self._rows.get(item)
+        if row is not None:
+            return row
+        row = len(self._rows)
+        chunk, offset = divmod(row, _CHUNK_ROWS)
+        seeds = self.filter_seeds
+        if offset == 0:
+            width = len(seeds) * self.num_hashes
+            self._blocks.append(np.empty((_CHUNK_ROWS, width), dtype=self._index_type))
+            self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
+        self._blocks[chunk][offset] = index_block(
+            item, seeds, self.num_counters, self.num_hashes
+        )
+        self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
+        self._rows[item] = row
+        return row
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """What runs over one topology, seed and filter size share: the cost
+    rows and the item-hash table. It lives only as long as the call that
+    made it (run, run_with_baseline or run_grid)."""
+
+    cost_rows: list
+    hashes: _ItemHashes
+
+
+def _make_shared(
+    config: SimConfig, topo: Topology, cost_rows: list | None = None
+) -> _Shared:
+    if cost_rows is None:
+        cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
+    num_counters = size_for_target_fpr(
         config.store_capacity, config.target_fpr, config.num_hashes
     )
-    stores = []
-    for j in range(n_stores):
-        indicator = CountingBloomFilter(
-            counters, config.num_hashes, seed=config.seed * 1_000_003 + j
-        )
-        stores.append(Datastore(j, config.store_capacity, indicator))
-    return stores
+    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters, config.num_hashes)
+    return _Shared(cost_rows, hashes)
+
+
+def _build_stores(
+    config: SimConfig, hashes: _ItemHashes
+) -> tuple[FilterBank, list[Datastore]]:
+    """One filter bank over the table's filter seeds, and a store per row."""
+    bank = FilterBank(hashes.filter_seeds, hashes.num_counters, hashes.num_hashes,
+                      block=hashes.block)
+    stores = [
+        Datastore(j, config.store_capacity, bank.filter(j))
+        for j in range(len(hashes.filter_seeds))
+    ]
+    return bank, stores
 
 
 def run(
@@ -169,28 +257,34 @@ def run(
     topology: Topology | str | None = None,
     trace: Sequence | str | None = None,
     record_log: bool = False,
+    *,
+    _shared: _Shared | None = None,
 ) -> SimMetrics:
-    """Simulate one strategy over a trace; returns raw (un-normalized) totals."""
+    """Simulate one strategy over a trace; returns raw (un-normalized) totals.
+
+    ``_shared`` is the state that run_grid and run_with_baseline share
+    across their runs; it must have been made for this config and topology.
+    """
     topo = _as_topology(topology)
     items = _as_trace(trace)
-    costs = cost_matrix(topo, config.alpha, config.big_t)
     n_stores = len(topo.nodes)
     if config.locations_per_item > n_stores:
         raise ValueError(
             f"locations_per_item {config.locations_per_item} exceeds "
             f"{n_stores} stores"
         )
-    stores = _build_stores(config, n_stores)
+    shared = _shared or _make_shared(config, topo)
+    hashes = shared.hashes
+    bank, stores = _build_stores(config, hashes)
     strategy_key = config.strategy
     ground_truth = strategy_key == GROUND_TRUTH_STRATEGY
     strategy = None if ground_truth else STRATEGIES[strategy_key]
 
     rng = np.random.default_rng(config.seed)
     clients = rng.integers(0, n_stores, size=len(items))
-    cost_rows = costs.tolist()
+    cost_rows = shared.cost_rows
     beta = config.miss_penalty
     k = config.locations_per_item
-    placements: dict = {}
 
     metrics = SimMetrics(
         strategy=strategy_key,
@@ -212,9 +306,10 @@ def run(
             chosen = _cheapest_holder(stores, item, row)
         else:
             profiles = tuple(
-                DatastoreProfile(j, float(row[j]), clamp_mis_ratio(s.estimator.estimate))
-                for j, s in enumerate(stores)
-                if s.indicator.query(item)
+                DatastoreProfile(
+                    j, float(row[j]), clamp_mis_ratio(stores[j].estimator.estimate)
+                )
+                for j in bank.positives(hashes.block(item))
             )
             ctx = SelectionContext(profiles, beta)
             chosen = [p.id for p in strategy(ctx)]
@@ -227,11 +322,7 @@ def run(
         access_total += paid
         if not hit:
             misses += 1
-            where = placements.get(item)
-            if where is None:
-                where = designated_stores(item, k, n_stores, config.seed)
-                placements[item] = where
-            for j in where:
+            for j in hashes.placement(item, k):
                 if not stores[j].holds(item):
                     stores[j].insert(item)
         if log is not None:
@@ -263,16 +354,13 @@ def run_with_baseline(
     returns (strategy metrics, baseline metrics), both normalized."""
     topo = _as_topology(topology)
     items = _as_trace(trace)
-    baseline_config = (
-        config
-        if config.strategy == GROUND_TRUTH_STRATEGY
-        else _with_strategy(config, GROUND_TRUTH_STRATEGY)
-    )
-    baseline = run(baseline_config, topo, items)
+    shared = _make_shared(config, topo)
+    baseline_config = dataclasses.replace(config, strategy=GROUND_TRUTH_STRATEGY)
+    baseline = run(baseline_config, topo, items, _shared=shared)
     baseline.normalize_against(baseline.total_cost)
     if config.strategy == GROUND_TRUTH_STRATEGY:
         return baseline, baseline
-    metrics = run(config, topo, items)
+    metrics = run(config, topo, items, _shared=shared)
     metrics.normalize_against(baseline.total_cost)
     return metrics, baseline
 
@@ -290,10 +378,14 @@ def run_grid(
     big_t: float | None = None,
 ) -> list[SimMetrics]:
     """Benchmark grid. The ground-truth baseline runs once per
-    (beta, k, seed) cell and normalizes every strategy in that cell."""
+    (beta, k, seed) cell and normalizes every strategy in that cell. All
+    cells share one cost matrix, and the cells of a seed one item-hash
+    table."""
     topo = _as_topology(topology)
     items = _as_trace(trace)
     names = [resolve_strategy(s) for s in strategies]
+    cost_rows = None
+    shared: dict[int, _Shared] = {}
     rows = []
     for beta in betas:
         for k in ks:
@@ -308,13 +400,17 @@ def run_grid(
                     big_t=big_t,
                     seed=seed,
                 )
-                baseline = run(cell, topo, items)
+                if seed not in shared:
+                    shared[seed] = _make_shared(cell, topo, cost_rows)
+                    cost_rows = shared[seed].cost_rows
+                baseline = run(cell, topo, items, _shared=shared[seed])
                 baseline.normalize_against(baseline.total_cost)
                 for name in names:
                     if name == GROUND_TRUTH_STRATEGY:
                         rows.append(baseline)
                         continue
-                    metrics = run(_with_strategy(cell, name), topo, items)
+                    metrics = run(dataclasses.replace(cell, strategy=name), topo, items,
+                                  _shared=shared[seed])
                     metrics.normalize_against(baseline.total_cost)
                     rows.append(metrics)
     return rows
@@ -385,20 +481,6 @@ def markdown_summary(rows: Sequence[SimMetrics]) -> str:
             entries.append(f"{tc:.4g} ({ac:.4g})")
         lines.append("| " + name + " | " + " | ".join(entries) + " |")
     return "\n".join(lines) + "\n"
-
-
-def _with_strategy(config: SimConfig, name: str) -> SimConfig:
-    return SimConfig(
-        strategy=name,
-        miss_penalty=config.miss_penalty,
-        locations_per_item=config.locations_per_item,
-        store_capacity=config.store_capacity,
-        target_fpr=config.target_fpr,
-        alpha=config.alpha,
-        big_t=config.big_t,
-        seed=config.seed,
-        num_hashes=config.num_hashes,
-    )
 
 
 def _as_topology(topology: Topology | str | None) -> Topology:

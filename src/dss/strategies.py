@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DatastoreProfile, SelectionContext, expected_cost
+from .core import DatastoreProfile, InvariantError, SelectionContext, expected_cost
 from .knapsack import (
     KnapsackInstance,
     KnapsackItem,
@@ -175,7 +175,8 @@ def select_dsalg_pp(
         value = phi(sel, ctx.miss_penalty)
         if value < best_phi:
             best, best_phi = sel, value
-    assert best is not None
+    if best is None:
+        raise InvariantError("budget sweep proposed no selection")
     return best
 
 

@@ -1,10 +1,15 @@
 """Counting Bloom filter: sizing, membership semantics, false-positive rate."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dss.cbf import CountingBloomFilter, expected_fpr, size_for_target_fpr
+from dss.cbf import CountingBloomFilter, FilterBank, expected_fpr, size_for_target_fpr
+from dss.core import InvariantError
 
 
 def test_size_for_reference_configuration():
@@ -130,3 +135,67 @@ def test_empirical_fpr_near_target():
     false_positives = sum(1 for i in range(1000, 1000 + probes) if f.query(i))
     rate = false_positives / probes
     assert 0.01 <= rate <= 0.04
+
+
+def test_remove_without_insert_raises_invariant_error():
+    f = CountingBloomFilter(64, 3, seed=6)
+    with pytest.raises(InvariantError):
+        f.remove("never-inserted")
+    assert not issubclass(InvariantError, ValueError)  # the CLI maps ValueError to exit 2
+
+
+def test_underflow_check_survives_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from dss.cbf import CountingBloomFilter\n"
+        "from dss.core import InvariantError\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    CountingBloomFilter(64, 3, seed=6).remove('never-inserted')\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 7, done.stderr
+
+
+def test_bank_rows_behave_like_standalone_filters():
+    seeds = (11, 12, 13)
+    bank = FilterBank(seeds, 97, 4)
+    alone = [CountingBloomFilter(97, 4, seed=s) for s in seeds]
+    rows = [bank.filter(j) for j in range(len(seeds))]
+    rng = random.Random(45)
+    for _ in range(300):
+        j = rng.randrange(len(seeds))
+        item = rng.randrange(60)
+        rows[j].insert(item)
+        alone[j].insert(item)
+    for j, f in enumerate(alone):
+        assert bytes(rows[j].counters) == bytes(f.counters)
+        assert bytes(bank.counters[j]) == bytes(f.counters)
+        assert rows[j].seed == f.seed
+    for item in range(100):
+        expected = [j for j, f in enumerate(alone) if f.query(item)]
+        assert bank.positives(bank.block(item)) == expected
+    with pytest.raises(IndexError):
+        bank.filter(3)
+
+
+def test_bank_uses_the_block_it_is_given():
+    # A lookup table standing in for hashing sees every insert, remove and query.
+    seen = []
+    plain = FilterBank((5, 6), 50, 3)
+
+    def lookup(item):
+        seen.append(item)
+        return plain.block(item)
+
+    bank = FilterBank((5, 6), 50, 3, block=lookup)
+    f = bank.filter(1)
+    f.insert("a")
+    assert f.query("a") and "a" in f
+    f.remove("a")
+    assert seen == ["a", "a", "a", "a"]
+    assert sum(bank.counters.ravel()) == 0

@@ -165,6 +165,19 @@ def test_usage_errors_exit_one(capsys):
         assert err.value.code == 1
 
 
+def test_invariant_error_exits_three(monkeypatch, capsys):
+    import dss.cli
+    from dss.core import InvariantError
+
+    def broken(args):
+        raise InvariantError("broken invariant")
+
+    monkeypatch.setitem(dss.cli._COMMANDS, "analyze", broken)
+    code, _, err = run_cli(["analyze"], capsys)
+    assert code == 3
+    assert "internal error: broken invariant" in err
+
+
 SMALL_SIM = [
     "--synth-requests", "300", "--synth-catalog", "200",
     "--store-size", "50",

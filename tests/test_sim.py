@@ -61,6 +61,30 @@ def test_designated_stores_basics():
         designated_stores("item", 20, 19, seed=0)
 
 
+def test_designated_stores_match_one_digest_per_store():
+    # Reference: the keyed digest of payload + store id, one per store,
+    # ranked by descending score with ties toward the lower id.
+    import hashlib
+
+    def reference(item, k, n, seed):
+        if isinstance(item, int):
+            payload = item.to_bytes(16, "little", signed=True)
+        else:
+            payload = str(item).encode()
+        key = seed.to_bytes(8, "little")
+        scores = [
+            (int.from_bytes(hashlib.blake2b(payload + j.to_bytes(4, "little"),
+                                            digest_size=8, key=key).digest(), "little"), j)
+            for j in range(n)
+        ]
+        scores.sort(key=lambda s: (-s[0], s[1]))
+        return tuple(sorted(j for _, j in scores[:k]))
+
+    for item in [0, -5, 12345, "x", "item-7"]:
+        for k in (1, 3, 19):
+            assert designated_stores(item, k, 19, seed=9) == reference(item, k, 19, 9)
+
+
 def test_designated_stores_spread_evenly():
     counts = np.zeros(19, dtype=int)
     for item in range(10_000):
@@ -251,3 +275,58 @@ def test_trace_file_round_trip(tmp_path):
     save_trace([], empty)
     with pytest.raises(ValueError):
         load_trace(empty)
+
+
+def test_run_grid_rows_equal_independent_runs():
+    # Cells of a grid share a cost matrix and an item-hash table; each row
+    # must still equal a run made on its own, in any order.
+    trace = zipf_trace(600, 1500, 0.8, seed=21)
+    grid = dict(betas=[100.0], ks=[1, 3], seeds=[1, 2], store_capacity=8)
+    names = ["cpi", "pgm", "pi"]
+    rows = run_grid(names, trace=trace, **grid)
+    alone = {}
+    for seed in reversed(grid["seeds"]):
+        for k in reversed(grid["ks"]):
+            cell = SimConfig(strategy="pi", locations_per_item=k, store_capacity=8, seed=seed)
+            baseline = run(cell, None, trace)
+            baseline.normalize_against(baseline.total_cost)
+            alone[("pi", k, seed)] = baseline
+            for name in ("pgm", "cpi"):
+                m = run(SimConfig(strategy=name, locations_per_item=k, store_capacity=8,
+                                  seed=seed), None, trace)
+                m.normalize_against(baseline.total_cost)
+                alone[(name, k, seed)] = m
+    expected = [alone[(name, k, seed)] for k in grid["ks"] for seed in grid["seeds"]
+                for name in names]
+    assert metrics_csv(rows) == metrics_csv(expected)
+
+
+def test_grid_hashes_each_item_once_per_seed_and_call(monkeypatch):
+    import dss.sim
+
+    calls = []
+    real = dss.sim.index_block
+
+    def counted(item, *args):
+        calls.append(item)
+        return real(item, *args)
+
+    monkeypatch.setattr(dss.sim, "index_block", counted)
+    trace = zipf_trace(400, 300, seed=22)
+    for _ in range(2):  # nothing carries over from one call to the next
+        calls.clear()
+        run_grid(["cpi", "pi"], betas=[10.0, 100.0], ks=[1, 2], seeds=[3, 4],
+                 trace=trace, store_capacity=10)
+        assert sorted(calls) == sorted(list(set(trace)) * 2)
+
+
+def test_item_hash_state_is_compact():
+    import dss.sim
+
+    hashes = dss.sim._ItemHashes(seed=1, n_stores=19, num_counters=8181, num_hashes=5)
+    for item in range(3000):
+        hashes.block(item)
+    rows = 3 * dss.sim._CHUNK_ROWS
+    assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= 400
+    for item in (0, 1500, 2999):  # a row in every chunk
+        assert hashes.placement(item, 3) == designated_stores(item, 3, 19, seed=1)
