@@ -224,13 +224,18 @@ class CountingBloomFilter:
     def _indexes(self, item) -> list[int]:
         return self.bank.block(item)[self._span].tolist()
 
-    def insert(self, item) -> None:
-        self.bank.insert(self._indexes(item))
+    def insert(self, item) -> list[int]:
+        """Count the item in; returns its counter indexes, which ``remove``
+        accepts in place of hashing the item again."""
+        indexes = self._indexes(item)
+        self.bank.insert(indexes)
+        return indexes
 
-    def remove(self, item) -> None:
+    def remove(self, item, indexes: Sequence[int] | None = None) -> None:
         """Undo one prior insert of this item; raises InvariantError on the
-        cheap-to-detect sign of removing an item never inserted."""
-        self.bank.remove(self._indexes(item))
+        cheap-to-detect sign of removing an item never inserted. ``indexes``
+        are what that insert returned."""
+        self.bank.remove(self._indexes(item) if indexes is None else indexes)
 
     def query(self, item) -> bool:
         return self.bank.query(self._indexes(item))

@@ -87,6 +87,8 @@ class Datastore:
         self.capacity = capacity
         self.indicator = indicator
         self.estimator = estimator if estimator is not None else RhoEstimator()
+        # Resident item -> the counter indexes its insert bumped, so an
+        # eviction un-counts it without hashing it again.
         self._contents: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -113,8 +115,7 @@ class Datastore:
             raise ValueError(f"item {item!r} already present in store {self.id}")
         evicted = None
         if len(self._contents) >= self.capacity:
-            evicted, _ = self._contents.popitem(last=False)
-            self.indicator.remove(evicted)
-        self._contents[item] = None
-        self.indicator.insert(item)
+            evicted, indexes = self._contents.popitem(last=False)
+            self.indicator.remove(evicted, indexes)
+        self._contents[item] = self.indicator.insert(item)
         return evicted

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -118,13 +119,29 @@ def solve_exact_all_budgets(
 
     Table cell (i, b) never depends on cells with larger b, so the table
     built at max_budget answers every smaller budget identically to a
-    dedicated solve. Serves budget-sweep callers without quadratic rework.
+    dedicated solve. The reconstruction walks the items once for all
+    budgets together, making _reconstruct's two tests per budget on the
+    same table sums, and budgets that choose the same ids share one set.
     """
     if max_budget < 0:
         raise ValueError(f"max_budget must be >= 0, got {max_budget}")
     ordered = sorted(items, key=lambda it: it.id)
     rows = _suffix_table(ordered, max_budget)
-    return [_reconstruct(ordered, rows, b) for b in range(max_budget + 1)]
+    remaining = np.arange(max_budget + 1)
+    active = np.ones(max_budget + 1, dtype=bool)
+    taken = np.zeros((len(ordered), max_budget + 1), dtype=bool)
+    for i, item in enumerate(ordered):
+        need = rows[i][remaining]
+        active &= need != 0.0
+        left = remaining - item.cost
+        take = active & (left >= 0)
+        take &= item.profit + rows[i + 1][np.maximum(left, 0)] == need
+        taken[i] = take
+        remaining = np.where(take, left, remaining)
+    ids = [it.id for it in ordered]
+    columns = list(map(tuple, taken.T.tolist()))
+    sets = {col: frozenset(compress(ids, col)) for col in dict.fromkeys(columns)}
+    return [sets[col] for col in columns]
 
 
 def solve_greedy2(instance: KnapsackInstance) -> frozenset:

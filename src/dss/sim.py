@@ -303,7 +303,7 @@ def run(
     for item, client in zip(items, clients.tolist()):
         row = cost_rows[client]
         if ground_truth:
-            chosen = _cheapest_holder(stores, item, row)
+            chosen = _cheapest_holder(stores, hashes.placement(item, k), item, row)
         else:
             profiles = tuple(
                 DatastoreProfile(
@@ -334,11 +334,15 @@ def run(
     return metrics
 
 
-def _cheapest_holder(stores: list[Datastore], item, row: list) -> list[int]:
+def _cheapest_holder(
+    stores: list[Datastore], designated: Sequence[int], item, row: list
+) -> list[int]:
+    """The cheapest store (ties to the lower id) that holds the item. Items
+    are only ever inserted at their designated stores, so only those can."""
     best = None
     best_key = None
-    for j, s in enumerate(stores):
-        if s.holds(item):
+    for j in designated:
+        if stores[j].holds(item):
             key = (row[j], j)
             if best_key is None or key < best_key:
                 best, best_key = j, key

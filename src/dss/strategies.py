@@ -27,8 +27,10 @@ The rest approximately minimize the expected-cost objective phi:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,8 +53,22 @@ def phi(selection: Iterable[DatastoreProfile], miss_penalty: float) -> float:
     return expected_cost(selection, miss_penalty).total
 
 
+_ID = attrgetter("id")
+
+
 def _by_id(profiles: Iterable[DatastoreProfile]) -> Selection:
-    return tuple(sorted(profiles, key=lambda p: p.id))
+    return tuple(sorted(profiles, key=_ID))
+
+
+def _phi_by_id(selection: Selection, miss_penalty: float) -> float:
+    """phi of a selection already sorted by id: expected_cost's fold, without
+    its sort."""
+    access = 0.0
+    miss = 1.0
+    for p in selection:
+        access += p.access_cost
+        miss *= p.mis_ratio
+    return access + miss_penalty * miss
 
 
 def _best_by_phi(
@@ -63,12 +79,16 @@ def _best_by_phi(
     best_key: tuple | None = None
     for cand in candidates:
         sel = _by_id(cand)
-        key = (phi(sel, miss_penalty), len(sel), tuple(p.id for p in sel))
-        if best_key is None or key < best_key:
+        key = (_phi_by_id(sel, miss_penalty), len(sel))
+        if best_key is None or key < best_key or (key == best_key and _ids(sel) < _ids(best)):
             best, best_key = sel, key
     if best is None:
         raise ValueError("no candidate selections supplied")
     return best
+
+
+def _ids(selection: Selection) -> tuple:
+    return tuple(p.id for p in selection)
 
 
 def select_cpi(ctx: SelectionContext) -> Selection:
@@ -170,9 +190,11 @@ def select_dsalg_pp(
         ]
     best: Selection | None = None
     best_phi = math.inf
-    for chosen_ids in per_budget:
+    # Budgets often propose the same set; a repeat can never win the strict
+    # comparison, so each distinct set is scored once, in first-budget order.
+    for chosen_ids in dict.fromkeys(per_budget):
         sel = _by_id(by_id[i] for i in chosen_ids)
-        value = phi(sel, ctx.miss_penalty)
+        value = _phi_by_id(sel, ctx.miss_penalty)
         if value < best_phi:
             best, best_phi = sel, value
     if best is None:
@@ -189,14 +211,15 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     store. The empty selection always competes. Returns the candidate with
     the smallest phi.
     """
+    # Every store is a single in the top tier, and a one-store prefix is a
+    # single too, so each single is proposed once.
     proposals: list[Sequence[DatastoreProfile]] = [()]
+    proposals += ((p,) for p in ctx.candidates)
     weights = {p.id: clamped_log_hit_weight(p.mis_ratio) for p in ctx.candidates}
     for tier in sorted({p.access_cost for p in ctx.candidates}):
         pool = [p for p in ctx.candidates if p.access_cost <= tier]
         pool.sort(key=lambda p: (-(weights[p.id] / p.access_cost), p.id))
-        for t in range(len(pool)):
-            proposals.append(pool[: t + 1])
-            proposals.append((pool[t],))
+        proposals += (pool[:t] for t in range(2, len(pool) + 1))
     return _best_by_phi(proposals, ctx.miss_penalty)
 
 
@@ -238,16 +261,13 @@ def merge_candidate_lists(
             t = _dyadic_range(cost)
             if t > num_ranges:
                 continue
-            cand = PgmCandidate(
-                tuple(sorted(a.ids + b.ids)), cost, a.mis_product * b.mis_product
-            )
+            mis = a.mis_product * b.mis_product
             cur = best.get(t)
-            if cur is None or (cand.mis_product, cand.cost, cand.ids) < (
-                cur.mis_product,
-                cur.cost,
-                cur.ids,
-            ):
-                best[t] = cand
+            if cur is not None and (mis, cost) > (cur.mis_product, cur.cost):
+                continue
+            ids = tuple(sorted(a.ids + b.ids))
+            if cur is None or (mis, cost, ids) < (cur.mis_product, cur.cost, cur.ids):
+                best[t] = PgmCandidate(ids, cost, mis)
     return [PGM_EMPTY] + [best[t] for t in sorted(best)]
 
 
@@ -255,15 +275,35 @@ def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
     """Empty plus every prefix of the misindication-sorted store list."""
     profiles = sorted(profiles, key=lambda p: (p.mis_ratio, p.id))
     out = [PGM_EMPTY]
-    ids: tuple = ()
+    ids: list = []
     cost = 0.0
     miss = 1.0
     for p in profiles:
-        ids = tuple(sorted(ids + (p.id,)))
+        bisect.insort(ids, p.id)
         cost += p.access_cost
         miss *= p.mis_ratio
-        out.append(PgmCandidate(ids, cost, miss))
+        out.append(PgmCandidate(tuple(ids), cost, miss))
     return out
+
+
+def _merge_subtrees(
+    left: list[PgmCandidate] | None,
+    right: list[PgmCandidate] | None,
+    num_ranges: int,
+    leaves: bool,
+) -> list[PgmCandidate] | None:
+    """merge_candidate_lists of two subtrees, None standing for [PGM_EMPTY].
+
+    Merging a list with [PGM_EMPTY] only keeps its best candidate per range.
+    A list that came out of a merge is already that, so past the leaf level
+    a subtree with an empty sibling passes through unchanged.
+    """
+    if left is None or right is None:
+        only = right if left is None else left
+        if only is None or not leaves:
+            return only
+        return merge_candidate_lists(only, [PGM_EMPTY], num_ranges)
+    return merge_candidate_lists(left, right, num_ranges)
 
 
 def select_pgm(ctx: SelectionContext) -> Selection:
@@ -287,16 +327,20 @@ def select_pgm(ctx: SelectionContext) -> Selection:
         j = _dyadic_range(p.access_cost) - 1
         if j < num_ranges:
             bands[j].append(p)
-    lists = [_prefix_candidates(band) for band in bands]
+    # None stands for a subtree of empty bands, whose list is [PGM_EMPTY].
+    lists = [_prefix_candidates(band) if band else None for band in bands]
+    leaves = True
     while len(lists) > 1:
         if len(lists) % 2:
-            lists.append([PGM_EMPTY])
+            lists.append(None)
         lists = [
-            merge_candidate_lists(lists[i], lists[i + 1], num_ranges)
+            _merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
             for i in range(0, len(lists), 2)
         ]
+        leaves = False
     by_id = {p.id: p for p in ctx.candidates}
-    proposals = [[by_id[i] for i in cand.ids] for cand in lists[0]]
+    root = lists[0] or [PGM_EMPTY]
+    proposals = [[by_id[i] for i in cand.ids] for cand in root]
     return _best_by_phi(proposals, ctx.miss_penalty)
 
 

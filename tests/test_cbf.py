@@ -144,6 +144,16 @@ def test_remove_without_insert_raises_invariant_error():
     assert not issubclass(InvariantError, ValueError)  # the CLI maps ValueError to exit 2
 
 
+def test_remove_accepts_the_indexes_insert_returned():
+    f = CountingBloomFilter(64, 3, seed=6)
+    indexes = f.insert("x")
+    assert len(indexes) == 3 and f.query("x")
+    f.remove("x", indexes)
+    assert not any(f.counters)
+    with pytest.raises(InvariantError):
+        f.remove("x", indexes)
+
+
 def test_underflow_check_survives_python_O():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (

@@ -5,7 +5,7 @@ from collections import OrderedDict
 
 import pytest
 
-from dss.cbf import CountingBloomFilter
+from dss.cbf import CountingBloomFilter, FilterBank
 from dss.datastore import Datastore, RhoEstimator
 
 
@@ -104,6 +104,23 @@ def test_lru_eviction_order():
     assert store.holds("a") and store.holds("c") and not store.holds("b")
     assert not store.indicator.query("b")
     assert store.indicator.query("a")
+
+
+def test_eviction_uncounts_without_hashing_again():
+    seen = []
+    plain = FilterBank((3,), 64, 4)
+
+    def lookup(item):
+        seen.append(item)
+        return plain.block(item)
+
+    store = Datastore(0, 1, FilterBank((3,), 64, 4, block=lookup).filter(0))
+    store.insert("a")
+    assert store.insert("b") == "a"
+    assert seen == ["a", "b"]  # the eviction of "a" used the indexes kept at insert
+    only_b = CountingBloomFilter(64, 4, seed=3)
+    only_b.insert("b")
+    assert bytes(store.indicator.counters) == bytes(only_b.counters)
 
 
 def test_matches_reference_lru_on_random_trace():

@@ -1,5 +1,6 @@
 """Byte-exact golden outputs: a small benchmark grid, one `dss simulate` CSV,
-and counting-filter counters after seeded insert/remove sequences.
+`dss select` on a set of contexts, and counting-filter counters after seeded
+insert/remove sequences.
 
 The files under tests/golden/ pin what the simulator and the filters
 produce, so an optimisation can show that it changed no output. Regenerate
@@ -7,8 +8,11 @@ them from the current code with ``PYTHONPATH=src python tests/test_golden.py``;
 a change that alters a golden file must say why.
 """
 
+import contextlib
+import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 from dss.cbf import CountingBloomFilter
@@ -35,6 +39,12 @@ SIMULATE_ARGS = [
     "--synth-skew", "0.9",
 ]
 
+# Every beta is crossed with every candidate count; 1.5 is below pgm's
+# domain. Costs are integers up to about beta/4, so pp sweeps many budgets
+# and pgm fills several bands.
+SELECT_BETAS = (1.5, 2.5, 100.0, 1000.0)
+SELECT_SIZES = (0, 1, 5, 12, 19)
+
 # Tiny filters repeat an index within one item (each repeat increments) and
 # drive counters to the sticky 255; 328 is the size of a 40-item store.
 FILTER_SIZES = (4, 7, 328)
@@ -47,6 +57,53 @@ def grid_csv() -> str:
 def simulate_csv(out: Path) -> str:
     assert main([*SIMULATE_ARGS, "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8")
+
+
+def select_contexts() -> list[tuple[str, float, list[tuple]]]:
+    """(name, beta, [(id, cost, rho), ...]) for the `dss select` golden file."""
+    rng = random.Random(23)
+    out = []
+    for beta in SELECT_BETAS:
+        max_cost = max(2, int(beta // 4))
+        for n in SELECT_SIZES:
+            ids = sorted(rng.sample(range(40), n))
+            stores = [(j, rng.randint(1, max_cost), rng.uniform(0.01, 0.99)) for j in ids]
+            out.append((f"beta={beta:g} n={n}", beta, stores))
+    out.append(("duplicate costs", 100.0, [
+        (j, cost, rng.uniform(0.05, 0.95)) for j, cost in enumerate((3, 7, 3, 12, 7, 3, 12, 1, 7))
+    ]))
+    out.append(("duplicate costs and rhos", 40.0, [(j, 4, 0.5) for j in range(6)]))
+    # 0 and 1e-15 both clamp to the same knapsack weight, and 1 - 1e-12 is
+    # the clamp's upper end, RHO_MAX.
+    out.append(("rho near 0 and 1", 100.0, [
+        (1, 5, 0.0), (2, 4, 1e-15), (3, 9, 1e-9), (4, 2, 0.999), (5, 1, 1 - 1e-12),
+        (6, 3, 0.9999999),
+    ]))
+    out.append(("costs beyond the top band", 100.0, [
+        (1, 150, 0.01), (2, 127, 0.02), (3, 128, 0.01), (4, 64, 0.3), (5, 1, 0.9),
+    ]))
+    out.append(("fractional costs", 100.0, [
+        (1, 1.5, 0.5), (2, 2.25, 0.4), (3, 7, 0.2), (4, 3.75, 0.35), (5, 12.5, 0.05),
+    ]))
+    return out
+
+
+def _write_context(path: Path, beta: float, stores: list[tuple]) -> None:
+    lines = [f"beta: {beta!r}", "stores: []" if not stores else "stores:"]
+    lines += [f"  - {{id: {j}, cost: {c!r}, rho: {r!r}}}" for j, c, r in stores]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def select_text(tmp: Path) -> str:
+    """`dss select` output per context, each under a `# name` line."""
+    out = io.StringIO()
+    for name, beta, stores in select_contexts():
+        path = tmp / "context.yaml"
+        _write_context(path, beta, stores)
+        out.write(f"# {name}\n")
+        with contextlib.redirect_stdout(out):
+            assert main(["select", "--context", str(path)]) == 0
+    return out.getvalue()
 
 
 def filter_counters(m: int) -> bytes:
@@ -77,6 +134,16 @@ def test_simulate_csv_matches_golden(tmp_path):
     assert simulate_csv(tmp_path / "sim.csv") == golden
 
 
+def test_select_matches_golden(tmp_path):
+    assert select_text(tmp_path) == (GOLDEN / "select.txt").read_text(encoding="utf-8")
+
+
+def test_select_golden_covers_unavailable_strategies():
+    text = (GOLDEN / "select.txt").read_text(encoding="utf-8")
+    assert "pp unavailable" in text
+    assert "pgm unavailable" in text
+
+
 def test_filter_counters_match_golden():
     for m in FILTER_SIZES:
         assert filter_counters(m) == (GOLDEN / f"cbf_m{m}.bin").read_bytes(), m
@@ -91,6 +158,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "grid.csv").write_text(grid_csv(), encoding="utf-8")
     simulate_csv(GOLDEN / "simulate.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "select.txt").write_text(select_text(Path(tmp)), encoding="utf-8")
     for size in FILTER_SIZES:
         (GOLDEN / f"cbf_m{size}.bin").write_bytes(filter_counters(size))
     sys.exit(0)

@@ -1,0 +1,101 @@
+"""Property checks (Hypothesis) for the knapsack sweep and the strategies.
+
+The seeded loops in test_knapsack.py and test_strategies.py stay as they
+are; these properties let a failure shrink to a minimal example. The
+profile is set in conftest.py.
+"""
+
+import math
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
+from dss.knapsack import (
+    KnapsackInstance,
+    KnapsackItem,
+    solve_exact,
+    solve_exact_all_budgets,
+)
+from dss.strategies import (
+    phi,
+    select_cpi,
+    select_dsalg_knap,
+    select_dsalg_pp,
+    select_epi,
+    select_exhaustive,
+    select_pgm,
+    select_pot,
+)
+
+# Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
+# must break exactly as a dedicated solve does.
+profits = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+# Misindication ratios at and near both ends of their range, plus the rest.
+rhos = st.one_of(
+    st.sampled_from([0.0, 1e-15, 1e-9, 0.5, 0.999999, RHO_MAX]),
+    st.floats(0.0, 0.999),
+)
+
+
+@st.composite
+def knapsacks(draw):
+    ids = draw(st.lists(st.integers(-50, 50), unique=True, max_size=8))
+    items = tuple(
+        KnapsackItem(i, draw(profits), draw(st.integers(1, 40))) for i in ids
+    )
+    return items, draw(st.integers(0, 30))
+
+
+@st.composite
+def contexts(draw, integer_costs=True, min_beta=1.0):
+    beta = draw(st.floats(min_beta, 300.0))
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=9))
+    if integer_costs:
+        costs = st.integers(1, max(1, int(beta))).map(float)
+    else:
+        costs = st.floats(1.0, 2.0 * beta)
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(rhos)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+@given(knapsacks())
+@example(((), 0))
+@example(((), 5))
+@example(((KnapsackItem(3, 0.0, 1), KnapsackItem(1, 1.0, 9), KnapsackItem(2, 0.5, 2)), 4))
+def test_all_budgets_equals_a_solve_per_budget(case):
+    items, max_budget = case
+    table = solve_exact_all_budgets(items, max_budget)
+    assert len(table) == max_budget + 1
+    for budget, chosen in enumerate(table):
+        assert chosen == solve_exact(KnapsackInstance(budget, items))
+
+
+@given(contexts())
+def test_pp_is_optimal_on_integer_costs(ctx):
+    pp = phi(select_dsalg_pp(ctx), ctx.miss_penalty)
+    opt = phi(select_exhaustive(ctx), ctx.miss_penalty)
+    assert math.isclose(pp, opt, rel_tol=0.0, abs_tol=1e-9)
+
+
+@given(contexts(integer_costs=False, min_beta=2.0))
+def test_pgm_within_twice_log_beta_of_optimum(ctx):
+    pgm = phi(select_pgm(ctx), ctx.miss_penalty)
+    opt = phi(select_exhaustive(ctx), ctx.miss_penalty)
+    assert pgm <= 2.0 * math.log2(ctx.miss_penalty) * opt + 1e-9
+
+
+@given(contexts(min_beta=2.0))
+def test_selections_are_id_sorted_subsets(ctx):
+    strategies = (select_cpi, select_epi, select_pot, select_dsalg_pp,
+                  select_dsalg_knap, select_pgm, select_exhaustive)
+    for strategy in strategies:
+        chosen = strategy(ctx)
+        assert isinstance(chosen, tuple)
+        assert set(chosen) <= set(ctx.candidates)
+        ids = [p.id for p in chosen]
+        assert ids == sorted(set(ids))

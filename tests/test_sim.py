@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dss.datastore import Datastore
 from dss.sim import (
     METRICS_CSV_HEADER,
     SimConfig,
@@ -133,6 +134,23 @@ def test_ground_truth_accesses_single_cheapest_holder():
             assert paid == costs[client, cheapest]
         else:
             assert chosen == ()
+
+
+def test_ground_truth_looks_only_at_designated_stores(monkeypatch):
+    # pi asks at most the k designated stores per request, and a miss asks
+    # them again before placing the item.
+    calls = []
+    holds = Datastore.holds
+
+    def counting_holds(self, item):
+        calls.append(item)
+        return holds(self, item)
+
+    monkeypatch.setattr(Datastore, "holds", counting_holds)
+    config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, seed=3)
+    trace = zipf_trace(300, 100, seed=4)
+    metrics = run(config, trace=trace)
+    assert len(calls) <= 2 * (len(trace) + metrics.misses)
 
 
 def test_pi_normalizes_to_one():
