@@ -10,29 +10,19 @@ guarantees and, in practice, land much closer.
 import random
 
 from dss import (
+    STRATEGIES,
     DatastoreProfile,
     SelectionContext,
     phi,
-    select_cpi,
-    select_dsalg_knap,
     select_dsalg_pp,
-    select_epi,
     select_exhaustive,
-    select_pgm,
-    select_pot,
 )
 
 TRIALS = 400
 rng = random.Random(2718)
 
-strategies = {
-    "cpi": select_cpi,
-    "epi": select_epi,
-    "pot": select_pot,
-    "pp": select_dsalg_pp,
-    "umb": select_dsalg_knap,
-    "pgm": select_pgm,
-}
+# Every strategy but the optimum they are scored against.
+strategies = {name: select for name, select in STRATEGIES.items() if name != "opt"}
 
 worst = {name: 1.0 for name in strategies}
 total = {name: 0.0 for name in strategies}

@@ -4,7 +4,7 @@ The package answers one question end to end: given several datastores that
 might hold an item, each signalling through a Bloom-style indicator that can
 false-positive, which of them should a client access to minimize expected
 cost? It provides the expected-cost model, closed forms for identical
-stores, five heterogeneous selection strategies with provable guarantees,
+stores, a table of heterogeneous selection strategies (STRATEGIES),
 the indicator and LRU store building blocks, and a trace-driven simulator
 over network topologies.
 """
@@ -55,6 +55,7 @@ from .sim import (
     run_with_baseline,
 )
 from .strategies import (
+    STRATEGIES,
     PgmCandidate,
     PotentialState,
     merge_candidate_lists,
@@ -124,6 +125,7 @@ __all__ = [
     "run",
     "run_grid",
     "run_with_baseline",
+    "STRATEGIES",
     "PgmCandidate",
     "PotentialState",
     "merge_candidate_lists",

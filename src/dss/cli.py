@@ -27,16 +27,7 @@ from .sim import (
     run_grid,
     run_with_baseline,
 )
-from .strategies import (
-    EXHAUSTIVE_MAX_CANDIDATES,
-    select_cpi,
-    select_dsalg_knap,
-    select_dsalg_pp,
-    select_epi,
-    select_exhaustive,
-    select_pgm,
-    select_pot,
-)
+from .strategies import STRATEGIES
 from .workload import zipf_trace
 
 USAGE_ERROR = 1
@@ -169,19 +160,9 @@ def _load_context(path: str, beta_override: float | None) -> SelectionContext:
 
 def _cmd_select(args) -> int:
     ctx = _load_context(args.context, args.beta)
-    lineup = [
-        ("cpi", select_cpi),
-        ("epi", select_epi),
-        ("pot", select_pot),
-        ("pp", select_dsalg_pp),
-        ("umb", select_dsalg_knap),
-        ("pgm", select_pgm),
-    ]
-    if ctx.n_positive <= EXHAUSTIVE_MAX_CANDIDATES:
-        lineup.append(("opt", select_exhaustive))
-    for name, fn in lineup:
+    for name, select in STRATEGIES.items():
         try:
-            chosen = fn(ctx)
+            chosen = select(ctx)
         except ValueError as exc:
             print(f"{name} unavailable: {exc}")
             continue

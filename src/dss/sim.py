@@ -25,37 +25,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cbf import FilterBank, _item_bytes, index_block, size_for_target_fpr
 from .core import DatastoreProfile, SelectionContext, clamp_mis_ratio
 from .datastore import Datastore
-from .strategies import (
-    Selection,
-    select_cpi,
-    select_dsalg_knap,
-    select_dsalg_pp,
-    select_epi,
-    select_exhaustive,
-    select_pgm,
-    select_pot,
-)
+from .strategies import STRATEGIES
 from .topology import Topology, cost_matrix, default_topology, load_topology
 from .workload import load_trace
 
 GROUND_TRUTH_STRATEGY = "pi"
 
-STRATEGIES: dict[str, Callable[[SelectionContext], Selection]] = {
-    "cpi": select_cpi,
-    "epi": select_epi,
-    "pot": select_pot,
-    "pp": select_dsalg_pp,
-    "umb": select_dsalg_knap,
-    "pgm": select_pgm,
-    "opt": select_exhaustive,
-}
+# Hash functions per store filter.
+NUM_HASHES = 5
 
 _ALIASES = {
     "dsalg-pp": "pp",
@@ -90,7 +74,6 @@ class SimConfig:
     alpha: float = 0.5
     big_t: float | None = None
     seed: int = 0
-    num_hashes: int = 5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", resolve_strategy(self.strategy))
@@ -110,15 +93,10 @@ class SimConfig:
 
 @dataclass
 class SimMetrics:
-    """Totals of one run, plus normalized figures once a baseline is known."""
+    """Totals of one run of a config, plus normalized figures once a
+    baseline is known."""
 
-    strategy: str
-    miss_penalty: float
-    locations_per_item: int
-    store_capacity: int
-    target_fpr: float
-    alpha: float
-    seed: int
+    config: SimConfig
     requests: int = 0
     access_cost: float = 0.0
     misses: int = 0
@@ -127,8 +105,12 @@ class SimMetrics:
     log: list | None = None
 
     @property
+    def strategy(self) -> str:
+        return self.config.strategy
+
+    @property
     def total_cost(self) -> float:
-        return self.access_cost + self.miss_penalty * self.misses
+        return self.access_cost + self.config.miss_penalty * self.misses
 
     def normalize_against(self, baseline_total: float) -> None:
         if baseline_total <= 0:
@@ -221,7 +203,7 @@ class _ItemHashes:
 class _Shared:
     """What runs over one topology, seed and filter size share: the cost
     rows and the item-hash table. It lives only as long as the call that
-    made it (run, run_with_baseline or run_grid)."""
+    made it (run or run_grid)."""
 
     cost_rows: list
     hashes: _ItemHashes
@@ -232,10 +214,8 @@ def _make_shared(
 ) -> _Shared:
     if cost_rows is None:
         cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
-    num_counters = size_for_target_fpr(
-        config.store_capacity, config.target_fpr, config.num_hashes
-    )
-    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters, config.num_hashes)
+    num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
+    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters, NUM_HASHES)
     return _Shared(cost_rows, hashes)
 
 
@@ -262,8 +242,8 @@ def run(
 ) -> SimMetrics:
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
-    ``_shared`` is the state that run_grid and run_with_baseline share
-    across their runs; it must have been made for this config and topology.
+    ``_shared`` is the state that run_grid shares across its runs; it must
+    have been made for this config and topology.
     """
     topo = _as_topology(topology)
     items = _as_trace(trace)
@@ -276,9 +256,8 @@ def run(
     shared = _shared or _make_shared(config, topo)
     hashes = shared.hashes
     bank, stores = _build_stores(config, hashes)
-    strategy_key = config.strategy
-    ground_truth = strategy_key == GROUND_TRUTH_STRATEGY
-    strategy = None if ground_truth else STRATEGIES[strategy_key]
+    ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
+    strategy = None if ground_truth else STRATEGIES[config.strategy]
 
     rng = np.random.default_rng(config.seed)
     clients = rng.integers(0, n_stores, size=len(items))
@@ -286,16 +265,6 @@ def run(
     beta = config.miss_penalty
     k = config.locations_per_item
 
-    metrics = SimMetrics(
-        strategy=strategy_key,
-        miss_penalty=beta,
-        locations_per_item=k,
-        store_capacity=config.store_capacity,
-        target_fpr=config.target_fpr,
-        alpha=config.alpha,
-        seed=config.seed,
-        requests=len(items),
-    )
     log = [] if record_log else None
     access_total = 0.0
     misses = 0
@@ -328,10 +297,7 @@ def run(
         if log is not None:
             log.append((item, client, tuple(chosen), paid, hit))
 
-    metrics.access_cost = access_total
-    metrics.misses = misses
-    metrics.log = log
-    return metrics
+    return SimMetrics(config, len(items), access_total, misses, log=log)
 
 
 def _cheapest_holder(
@@ -354,19 +320,13 @@ def run_with_baseline(
     topology: Topology | str | None = None,
     trace: Sequence | str | None = None,
 ) -> tuple[SimMetrics, SimMetrics]:
-    """Run a strategy plus its ground-truth twin (same seed and trace);
-    returns (strategy metrics, baseline metrics), both normalized."""
-    topo = _as_topology(topology)
-    items = _as_trace(trace)
-    shared = _make_shared(config, topo)
-    baseline_config = dataclasses.replace(config, strategy=GROUND_TRUTH_STRATEGY)
-    baseline = run(baseline_config, topo, items, _shared=shared)
-    baseline.normalize_against(baseline.total_cost)
-    if config.strategy == GROUND_TRUTH_STRATEGY:
-        return baseline, baseline
-    metrics = run(config, topo, items, _shared=shared)
-    metrics.normalize_against(baseline.total_cost)
-    return metrics, baseline
+    """Run a strategy plus its ground-truth twin (same seed and trace) as a
+    one-cell grid; returns (strategy metrics, baseline metrics), both
+    normalized. For the ground truth itself both are the same object."""
+    rows = run_grid([GROUND_TRUTH_STRATEGY, config.strategy], [config.miss_penalty],
+                    [config.locations_per_item], [config.seed], topology, trace,
+                    config.store_capacity, config.target_fpr, config.alpha, config.big_t)
+    return rows[-1], rows[0]
 
 
 def run_grid(
@@ -429,16 +389,17 @@ def metrics_csv(rows: Sequence[SimMetrics]) -> str:
     """Render runs as CSV (six significant digits on real-valued columns)."""
     out = [METRICS_CSV_HEADER]
     for m in rows:
+        c = m.config
         out.append(
             ",".join(
                 [
-                    m.strategy,
-                    format(m.miss_penalty, ".6g"),
-                    str(m.locations_per_item),
-                    str(m.store_capacity),
-                    format(m.target_fpr, ".6g"),
-                    format(m.alpha, ".6g"),
-                    str(m.seed),
+                    c.strategy,
+                    format(c.miss_penalty, ".6g"),
+                    str(c.locations_per_item),
+                    str(c.store_capacity),
+                    format(c.target_fpr, ".6g"),
+                    format(c.alpha, ".6g"),
+                    str(c.seed),
                     str(m.requests),
                     format(m.access_cost, ".6g"),
                     format(m.total_cost, ".6g"),
@@ -453,8 +414,8 @@ def metrics_csv(rows: Sequence[SimMetrics]) -> str:
 
 def markdown_summary(rows: Sequence[SimMetrics]) -> str:
     """Pivot table of seed-averaged normalized costs per strategy and cell."""
-    cells = sorted({(m.miss_penalty, m.locations_per_item) for m in rows})
-    names = list(dict.fromkeys(m.strategy for m in rows))
+    cells = sorted({(m.config.miss_penalty, m.config.locations_per_item) for m in rows})
+    names = list(dict.fromkeys(m.config.strategy for m in rows))
     header = "| strategy | " + " | ".join(
         f"beta={format(b, '.6g')}, k={k}" for b, k in cells
     ) + " |"
@@ -472,9 +433,9 @@ def markdown_summary(rows: Sequence[SimMetrics]) -> str:
             sample = [
                 m
                 for m in rows
-                if m.strategy == name
-                and m.miss_penalty == b
-                and m.locations_per_item == k
+                if m.config.strategy == name
+                and m.config.miss_penalty == b
+                and m.config.locations_per_item == k
                 and m.tc_norm is not None
             ]
             if not sample:

@@ -23,6 +23,9 @@ The rest approximately minimize the expected-cost objective phi:
   union per dyadic cost range; phi(result) <= 2*log2(miss_penalty) * optimum.
 - select_exhaustive: brute force over all subsets (guarded to <= 20
   candidates), the oracle the others are judged against.
+
+STRATEGIES maps each strategy name to its selector; the simulator, the CLI
+and the demos all take the strategy set from it.
 """
 
 from __future__ import annotations
@@ -383,3 +386,17 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
             if best_key is None or key < best_key:
                 best_mask, best_key = mask, key
     return tuple(ordered[j] for j in range(n) if best_mask >> j & 1)
+
+
+# Every selector by strategy name, in the order reports list them. A selector
+# raises ValueError on a context it cannot take (pp: fractional costs; pgm:
+# beta < 2; opt: more than EXHAUSTIVE_MAX_CANDIDATES candidates).
+STRATEGIES: dict[str, Callable[[SelectionContext], Selection]] = {
+    "cpi": select_cpi,
+    "epi": select_epi,
+    "pot": select_pot,
+    "pp": select_dsalg_pp,
+    "umb": select_dsalg_knap,
+    "pgm": select_pgm,
+    "opt": select_exhaustive,
+}

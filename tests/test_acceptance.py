@@ -312,7 +312,7 @@ def test_criterion_7_heterogeneous_simulation():
     )
     cells = {}
     for m in rows:
-        cells[(m.locations_per_item, m.strategy)] = m
+        cells[(m.config.locations_per_item, m.config.strategy)] = m
     for k in (1, 5):
         by_ac = {name: cells[(k, name)].ac_norm for name in policies}
         cheapest = min(by_ac, key=by_ac.get)

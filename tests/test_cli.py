@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dss.cli import main
+from dss.strategies import EXHAUSTIVE_MAX_CANDIDATES, STRATEGIES
 
 
 def run_cli(argv, capsys):
@@ -138,6 +139,18 @@ def test_select_fractional_costs_disable_budget_sweep(tmp_path, capsys):
     pp_line = next(l for l in out.strip().split("\n") if l.startswith("pp"))
     assert "unavailable" in pp_line
     assert any(l.startswith("opt ") for l in out.strip().split("\n"))
+
+
+def test_select_reports_every_strategy_in_table_order(tmp_path, capsys):
+    stores = [(j, 1 + j % 4, 0.5) for j in range(EXHAUSTIVE_MAX_CANDIDATES + 1)]
+    ctx = write_context(tmp_path / "ctx.yaml", stores)
+    code, out, _ = run_cli(["select", "--context", ctx], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines] == list(STRATEGIES)
+    assert lines[-1] == (
+        "opt unavailable: exhaustive search supports at most 20 candidates, got 21"
+    )
 
 
 def test_select_bad_context_is_input_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Byte-exact golden outputs: a small benchmark grid, one `dss simulate` CSV,
+`dss simulate` for every strategy, `dss analyze` with its defaults,
 `dss select` on a set of contexts, and counting-filter counters after seeded
 insert/remove sequences.
 
@@ -17,7 +18,8 @@ from pathlib import Path
 
 from dss.cbf import CountingBloomFilter
 from dss.cli import main
-from dss.sim import metrics_csv, run_grid
+from dss.sim import GROUND_TRUTH_STRATEGY, metrics_csv, run_grid
+from dss.strategies import STRATEGIES
 from dss.workload import zipf_trace
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +41,11 @@ SIMULATE_ARGS = [
     "--synth-skew", "0.9",
 ]
 
+# `dss simulate` for every name resolve_strategy accepts, at each k.
+EVERY_STRATEGY = [*STRATEGIES, GROUND_TRUTH_STRATEGY]
+EVERY_STRATEGY_KS = (1, 2)
+EVERY_STRATEGY_ARGS = ["--store-size", "15", "--synth-requests", "2000"]
+
 # Every beta is crossed with every candidate count; 1.5 is below pgm's
 # domain. Costs are integers up to about beta/4, so pp sweeps many budgets
 # and pgm fills several bands.
@@ -57,6 +64,28 @@ def grid_csv() -> str:
 def simulate_csv(out: Path) -> str:
     assert main([*SIMULATE_ARGS, "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8")
+
+
+def _cli_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def every_strategy_text() -> str:
+    """`dss simulate` output per strategy and k, each under a `# name k=k` line."""
+    out = []
+    for name in EVERY_STRATEGY:
+        for k in EVERY_STRATEGY_KS:
+            out.append(f"# {name} k={k}\n")
+            out.append(_cli_stdout(
+                ["simulate", "--strategy", name, "--k", str(k), *EVERY_STRATEGY_ARGS]))
+    return "".join(out)
+
+
+def analyze_csv() -> str:
+    return _cli_stdout(["analyze"])
 
 
 def select_contexts() -> list[tuple[str, float, list[tuple]]]:
@@ -134,6 +163,15 @@ def test_simulate_csv_matches_golden(tmp_path):
     assert simulate_csv(tmp_path / "sim.csv") == golden
 
 
+def test_every_strategy_simulate_matches_golden():
+    golden = (GOLDEN / "simulate_every_strategy.txt").read_text(encoding="utf-8")
+    assert every_strategy_text() == golden
+
+
+def test_analyze_csv_matches_golden():
+    assert analyze_csv() == (GOLDEN / "analyze.csv").read_text(encoding="utf-8")
+
+
 def test_select_matches_golden(tmp_path):
     assert select_text(tmp_path) == (GOLDEN / "select.txt").read_text(encoding="utf-8")
 
@@ -158,6 +196,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "grid.csv").write_text(grid_csv(), encoding="utf-8")
     simulate_csv(GOLDEN / "simulate.csv")
+    (GOLDEN / "simulate_every_strategy.txt").write_text(every_strategy_text(), encoding="utf-8")
+    (GOLDEN / "analyze.csv").write_text(analyze_csv(), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "select.txt").write_text(select_text(Path(tmp)), encoding="utf-8")
     for size in FILTER_SIZES:

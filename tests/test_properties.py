@@ -1,4 +1,5 @@
-"""Property checks (Hypothesis) for the knapsack sweep and the strategies.
+"""Property checks (Hypothesis) for the knapsack sweep, the strategies and
+the counting Bloom filter.
 
 The seeded loops in test_knapsack.py and test_strategies.py stay as they
 are; these properties let a failure shrink to a minimal example. The
@@ -6,10 +7,12 @@ profile is set in conftest.py.
 """
 
 import math
+from collections import Counter
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dss.cbf import CountingBloomFilter
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
 from dss.knapsack import (
     KnapsackInstance,
@@ -18,11 +21,10 @@ from dss.knapsack import (
     solve_exact_all_budgets,
 )
 from dss.strategies import (
+    STRATEGIES,
     phi,
-    select_cpi,
-    select_dsalg_knap,
+    potential_state,
     select_dsalg_pp,
-    select_epi,
     select_exhaustive,
     select_pgm,
     select_pot,
@@ -91,11 +93,58 @@ def test_pgm_within_twice_log_beta_of_optimum(ctx):
 
 @given(contexts(min_beta=2.0))
 def test_selections_are_id_sorted_subsets(ctx):
-    strategies = (select_cpi, select_epi, select_pot, select_dsalg_pp,
-                  select_dsalg_knap, select_pgm, select_exhaustive)
-    for strategy in strategies:
+    for strategy in STRATEGIES.values():
         chosen = strategy(ctx)
         assert isinstance(chosen, tuple)
         assert set(chosen) <= set(ctx.candidates)
         ids = [p.id for p in chosen]
         assert ids == sorted(set(ids))
+
+
+@given(contexts(integer_costs=False), st.data())
+def test_phi_is_bit_identical_under_permutation(ctx, data):
+    shuffled = data.draw(st.permutations(ctx.candidates))
+    selection = shuffled[:data.draw(st.integers(0, len(shuffled)))]
+    by_id = sorted(selection, key=lambda p: p.id)
+    assert phi(selection, ctx.miss_penalty).hex() == phi(by_id, ctx.miss_penalty).hex()
+
+
+@given(contexts(integer_costs=False))
+def test_pot_within_cost_sum_ratio_of_optimum(ctx):
+    pot = select_pot(ctx)
+    k = len(pot)
+    state = potential_state(ctx)
+    ratio = 1.0 if k == 0 else state.high_cost_sums[k] / state.low_cost_sums[k]
+    opt = phi(select_exhaustive(ctx), ctx.miss_penalty)
+    assert phi(pot, ctx.miss_penalty) <= ratio * opt + 1e-9
+
+
+filter_items = st.one_of(
+    st.integers(-20, 20), st.text(max_size=3), st.binary(max_size=3)
+)
+
+
+# 300 inserts into 4 counters drive some of them to the sticky 255 before
+# the removals start.
+STICKY_OPS = [(False, i % 7) for i in range(300)] + [(True, i % 7) for i in range(300)]
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), filter_items), max_size=200),
+    st.sampled_from([4, 7, 64, 328]),
+)
+@example(STICKY_OPS, 4)
+def test_counting_filter_has_no_false_negatives(ops, num_counters):
+    """Interleaved inserts and removals of a multiset: every item with a
+    copy still inserted is indicated after every step. A removal takes one
+    copy of an item that has one; otherwise the step inserts."""
+    f = CountingBloomFilter(num_counters, 5, seed=num_counters)
+    present: Counter = Counter()
+    for remove, item in ops:
+        if remove and present[item]:
+            f.remove(item)
+            present[item] -= 1
+        else:
+            f.insert(item)
+            present[item] += 1
+        assert all(x in f for x, copies in present.items() if copies)

@@ -223,8 +223,8 @@ def test_k_cannot_exceed_store_count():
 
 def test_metrics_csv_format():
     m = SimMetrics(
-        strategy="cpi", miss_penalty=100.0, locations_per_item=1,
-        store_capacity=1000, target_fpr=0.02, alpha=0.5, seed=0,
+        SimConfig(strategy="cpi", miss_penalty=100.0, locations_per_item=1,
+                  store_capacity=1000, target_fpr=0.02, alpha=0.5, seed=0),
         requests=10, access_cost=12.0, misses=3,
     )
     text = metrics_csv([m])
@@ -241,8 +241,8 @@ def test_metrics_csv_format():
 
 def test_normalize_rejects_bad_baseline():
     m = SimMetrics(
-        strategy="cpi", miss_penalty=100.0, locations_per_item=1,
-        store_capacity=1000, target_fpr=0.02, alpha=0.5, seed=0,
+        SimConfig(strategy="cpi", miss_penalty=100.0, locations_per_item=1,
+                  store_capacity=1000, target_fpr=0.02, alpha=0.5, seed=0),
     )
     with pytest.raises(ValueError):
         m.normalize_against(0.0)

@@ -10,6 +10,7 @@ from dss.knapsack import solve_greedy2
 from dss.strategies import (
     EXHAUSTIVE_MAX_CANDIDATES,
     PGM_EMPTY,
+    STRATEGIES,
     PgmCandidate,
     merge_candidate_lists,
     phi,
@@ -170,15 +171,7 @@ def test_exhaustive_guard():
         select_exhaustive(make_ctx(stores))
 
 
-ALL_STRATEGIES = [
-    select_cpi,
-    select_epi,
-    select_pot,
-    select_dsalg_pp,
-    select_dsalg_knap,
-    select_pgm,
-    select_exhaustive,
-]
+ALL_STRATEGIES = list(STRATEGIES.values())
 
 
 def test_all_strategies_return_subsets_and_opt_dominates():
