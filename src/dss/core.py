@@ -144,8 +144,8 @@ def expected_cost(
     are folded in increasing id order so the result is invariant under input
     permutation, bit for bit.
     """
-    if miss_penalty < 1.0:
-        raise ValueError(f"miss_penalty must be >= 1, got {miss_penalty}")
+    if not (math.isfinite(miss_penalty) and miss_penalty >= 1.0):
+        raise ValueError(f"miss_penalty must be finite and >= 1, got {miss_penalty}")
     access = 0.0
     miss = 1.0
     for p in sorted(selection, key=lambda p: p.id):

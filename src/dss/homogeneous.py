@@ -48,8 +48,8 @@ class HomogeneousParams:
             raise ValueError(f"hit_ratio must lie in [0, 1], got {self.hit_ratio}")
         if not (0.0 <= self.fpr <= 1.0):
             raise ValueError(f"fpr must lie in [0, 1], got {self.fpr}")
-        if self.miss_penalty < 1.0:
-            raise ValueError(f"miss_penalty must be >= 1, got {self.miss_penalty}")
+        if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
+            raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
 
     @property
     def q(self) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,8 +78,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "strategy", resolve_strategy(self.strategy))
-        if self.miss_penalty < 1.0:
-            raise ValueError(f"miss_penalty must be >= 1, got {self.miss_penalty}")
+        if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
+            raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
         if self.locations_per_item < 1:
             raise ValueError(
                 f"locations_per_item must be >= 1, got {self.locations_per_item}"
@@ -209,11 +210,8 @@ class _Shared:
     hashes: _ItemHashes
 
 
-def _make_shared(
-    config: SimConfig, topo: Topology, cost_rows: list | None = None
-) -> _Shared:
-    if cost_rows is None:
-        cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
+def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
+    cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
     num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
     hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters, NUM_HASHES)
     return _Shared(cost_rows, hashes)
@@ -342,13 +340,11 @@ def run_grid(
     big_t: float | None = None,
 ) -> list[SimMetrics]:
     """Benchmark grid. The ground-truth baseline runs once per
-    (beta, k, seed) cell and normalizes every strategy in that cell. All
-    cells share one cost matrix, and the cells of a seed one item-hash
-    table."""
+    (beta, k, seed) cell and normalizes every strategy in that cell. The
+    cells of a seed share one cost matrix and one item-hash table."""
     topo = _as_topology(topology)
     items = _as_trace(trace)
     names = [resolve_strategy(s) for s in strategies]
-    cost_rows = None
     shared: dict[int, _Shared] = {}
     rows = []
     for beta in betas:
@@ -365,8 +361,7 @@ def run_grid(
                     seed=seed,
                 )
                 if seed not in shared:
-                    shared[seed] = _make_shared(cell, topo, cost_rows)
-                    cost_rows = shared[seed].cost_rows
+                    shared[seed] = _make_shared(cell, topo)
                 baseline = run(cell, topo, items, _shared=shared[seed])
                 baseline.normalize_against(baseline.total_cost)
                 for name in names:

@@ -14,8 +14,8 @@ The rest approximately minimize the expected-cost objective phi:
   the k cheapest / costliest candidate access costs at k = |result|.
   Optimal whenever all access costs are equal.
 - select_dsalg_pp: sweeps every access budget B, solving a knapsack on
-  log-hit weights per budget; exact with the default exact solver on
-  integer costs.
+  log-hit weights per budget with one exact dynamic program over all
+  budgets; exact on integer costs.
 - select_dsalg_knap: prunes to cost tiers, takes density-ordered prefixes
   and singletons per tier; O(sqrt(miss_penalty))-approximation.
 - select_pgm: partitions stores into dyadic cost bands, keeps the best
@@ -40,7 +40,6 @@ import numpy as np
 
 from .core import DatastoreProfile, InvariantError, SelectionContext, expected_cost
 from .knapsack import (
-    KnapsackInstance,
     KnapsackItem,
     clamped_log_hit_weight,
     solve_exact_all_budgets,
@@ -164,17 +163,15 @@ def _require_integer_costs(ctx: SelectionContext) -> dict:
     return costs
 
 
-def select_dsalg_pp(
-    ctx: SelectionContext,
-    solver: Callable[[KnapsackInstance], frozenset] | None = None,
-) -> Selection:
+def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     """Budget sweep: solve a knapsack per access budget, keep the best phi.
 
     For every budget B in {0, ..., min(total cost, floor(miss_penalty))} the
     knapsack over log-hit weights proposes the selection with the best hit
     probability affordable within B; the sweep returns the proposal with the
-    smallest phi (ties toward the smaller budget). With the default exact
-    solver this is exact: some budget equals the optimum's total cost.
+    smallest phi (ties toward the smaller budget). One exact dynamic program
+    answers every budget, so the sweep is exact: some budget equals the
+    optimum's total cost.
     Requires integer access costs.
     """
     int_costs = _require_integer_costs(ctx)
@@ -184,13 +181,7 @@ def select_dsalg_pp(
         for p in ctx.candidates
     ]
     max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
-    if solver is None:
-        per_budget = solve_exact_all_budgets(items, max_budget)
-    else:
-        per_budget = [
-            solver(KnapsackInstance(budget, tuple(items)))
-            for budget in range(max_budget + 1)
-        ]
+    per_budget = solve_exact_all_budgets(items, max_budget)
     best: Selection | None = None
     best_phi = math.inf
     # Budgets often propose the same set; a repeat can never win the strict

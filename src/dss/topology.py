@@ -67,19 +67,9 @@ class Topology:
             adjacency[e.a][e.b] = e.bandwidth
             adjacency[e.b][e.a] = e.bandwidth
         object.__setattr__(self, "_adjacency", adjacency)
-        # Connectivity: BFS must reach every node.
-        seen = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != len(self.nodes):
-            missing = sorted(known - seen)
+        reached = _widest_min_hop(adjacency, self.nodes[0])
+        if len(reached) != len(self.nodes):
+            missing = sorted(known - reached.keys())
             raise ValueError(f"topology is not connected; unreachable: {missing}")
 
     @property
@@ -87,55 +77,38 @@ class Topology:
         return getattr(self, "_adjacency")
 
 
+def _widest_min_hop(
+    adjacency: dict[str, dict[str, float]], src: str
+) -> dict[str, tuple[int, float]]:
+    """(hops, bottleneck bandwidth) of the widest minimum-hop path from
+    ``src`` to every node it reaches, with ``src`` itself at (0, inf).
+
+    BFS layering fixes the hop count; a node's width is the widest
+    min(width, edge bandwidth) over its edges from the level before it.
+    """
+    reached = {src: (0, math.inf)}
+    frontier = [src]
+    hops = 0
+    while frontier:
+        hops += 1
+        width: dict[str, float] = {}
+        for u in frontier:
+            width_u = reached[u][1]
+            for v, bw in adjacency[u].items():
+                if v not in reached:
+                    width[v] = max(width.get(v, 0.0), min(width_u, bw))
+        reached.update((v, (hops, w)) for v, w in width.items())
+        frontier = list(width)
+    return reached
+
+
 def min_hop_max_bottleneck(topology: Topology, src: str, dst: str) -> tuple[int, float]:
     """Hop count and bottleneck bandwidth of the widest minimum-hop path.
-
-    BFS layering fixes the hop count; a forward pass over level-respecting
-    edges maximizes the bottleneck. (src == src gives (0, inf).)
-    """
+    (src == dst gives (0, inf).)"""
     for node in (src, dst):
         if node not in topology.adjacency:
             raise ValueError(f"unknown node {node!r}")
-    if src == dst:
-        return 0, math.inf
-    adjacency = topology.adjacency
-    level = {src: 0}
-    width = {src: math.inf}
-    frontier = [src]
-    hops = 0
-    while frontier and dst not in level:
-        hops += 1
-        nxt = []
-        for u in frontier:
-            for v, bw in adjacency[u].items():
-                if v not in level:
-                    level[v] = hops
-                    nxt.append(v)
-        # Widest bottleneck into each newly-levelled node.
-        for v in nxt:
-            best = 0.0
-            for u, bw in adjacency[v].items():
-                if level.get(u) == hops - 1:
-                    best = max(best, min(width[u], bw))
-            width[v] = best
-        frontier = nxt
-    if dst not in level:
-        raise ValueError(f"no path between {src!r} and {dst!r}")
-    return level[dst], width[dst]
-
-
-def bottleneck_matrix(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs (hops, bottleneck bandwidth) as two aligned matrices."""
-    n = len(topology.nodes)
-    hops = np.zeros((n, n), dtype=np.int64)
-    bw = np.full((n, n), math.inf)
-    for i, src in enumerate(topology.nodes):
-        for j, dst in enumerate(topology.nodes):
-            if i < j:
-                h, w = min_hop_max_bottleneck(topology, src, dst)
-                hops[i, j] = hops[j, i] = h
-                bw[i, j] = bw[j, i] = w
-    return hops, bw
+    return _widest_min_hop(topology.adjacency, src)[dst]
 
 
 def cost_matrix(
@@ -144,28 +117,25 @@ def cost_matrix(
     """Integer access costs between every client node and store node.
 
     ``big_t`` defaults to the largest pairwise bottleneck bandwidth; passing
-    a smaller value is an error (costs would drop below the hop term).
+    a smaller value is an error (costs would drop below the hop term), and
+    so is a non-finite one.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    hops, bw = bottleneck_matrix(topology)
-    n = len(topology.nodes)
-    off_diag = ~np.eye(n, dtype=bool)
-    max_bw = bw[off_diag].max() if n > 1 else 1.0
+    nodes = topology.nodes
+    rows = [_widest_min_hop(topology.adjacency, src) for src in nodes]
+    paths = np.array([[row[dst] for dst in nodes] for row in rows])  # (n, n, 2)
+    hops, bw = paths[..., 0], paths[..., 1]
+    n = len(nodes)
+    max_bw = bw[~np.eye(n, dtype=bool)].max() if n > 1 else 1.0
     if big_t is None:
         big_t = max_bw
-    elif big_t < max_bw:
+    elif not (math.isfinite(big_t) and big_t >= max_bw):
         raise ValueError(
-            f"bandwidth scale {big_t} is below the largest effective bandwidth {max_bw}"
+            f"bandwidth scale must be finite and at least the largest effective "
+            f"bandwidth {max_bw}, got {big_t}"
         )
-    costs = np.ones((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                costs[i, j] = math.ceil(
-                    1.0 + alpha * hops[i, j] + (1.0 - alpha) * big_t / bw[i, j]
-                )
-    return costs
+    return np.ceil(1.0 + alpha * hops + (1.0 - alpha) * big_t / bw).astype(np.int64)
 
 
 def load_topology(path: str) -> Topology:

@@ -7,6 +7,8 @@ Zipf distribution with configurable skew over a fixed catalog.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -21,8 +23,8 @@ def zipf_trace(
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     if catalog_size < 1:
         raise ValueError(f"catalog_size must be >= 1, got {catalog_size}")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
+    if not (math.isfinite(skew) and skew >= 0):
+        raise ValueError(f"skew must be finite and >= 0, got {skew}")
     ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
     weights = ranks ** -skew
     cumulative = np.cumsum(weights)

@@ -206,6 +206,20 @@ def test_simulate_ground_truth_normalizes_to_one(capsys):
     assert int(row["requests"]) == 300
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "pi", "--beta", "nan"],
+    ["analyze", "--beta", "nan"],
+    ["simulate", "--strategy", "pi", "--big-t", "inf"],
+    ["simulate", "--strategy", "pi", "--big-t", "nan"],
+    ["simulate", "--strategy", "pi", "--synth-skew", "nan"],
+])
+def test_non_finite_inputs_are_input_errors(argv, capsys):
+    code, out, err = run_cli(argv + (SMALL_SIM if argv[0] == "simulate" else []), capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_simulate_repeats_identically(tmp_path, capsys):
     args = ["simulate", "--strategy", "umb", "--k", "2", "--seed", "9"] + SMALL_SIM
     first = tmp_path / "a.csv"

@@ -112,6 +112,12 @@ def test_expected_cost_rejects_small_penalty():
         expected_cost((), 0.99)
 
 
+def test_expected_cost_rejects_non_finite_penalty():
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            expected_cost((), beta)
+
+
 def test_expected_cost_permutation_invariant_bitwise():
     rng = random.Random(7)
     for _ in range(100):

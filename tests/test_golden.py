@@ -1,7 +1,7 @@
 """Byte-exact golden outputs: a small benchmark grid, one `dss simulate` CSV,
 `dss simulate` for every strategy, `dss analyze` with its defaults,
-`dss select` on a set of contexts, and counting-filter counters after seeded
-insert/remove sequences.
+`dss select` on a set of contexts, counting-filter counters after seeded
+insert/remove sequences, and the bundled topology's access-cost matrices.
 
 The files under tests/golden/ pin what the simulator and the filters
 produce, so an optimisation can show that it changed no output. Regenerate
@@ -20,6 +20,7 @@ from dss.cbf import CountingBloomFilter
 from dss.cli import main
 from dss.sim import GROUND_TRUTH_STRATEGY, metrics_csv, run_grid
 from dss.strategies import STRATEGIES
+from dss.topology import cost_matrix, default_topology
 from dss.workload import zipf_trace
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,6 +56,10 @@ SELECT_SIZES = (0, 1, 5, 12, 19)
 # Tiny filters repeat an index within one item (each repeat increments) and
 # drive counters to the sticky 255; 328 is the size of a 40-item store.
 FILTER_SIZES = (4, 7, 328)
+
+# (alpha, big_t) for the bundled topology's cost matrices; None is the
+# default bandwidth scale, the largest effective bandwidth.
+COST_MATRIX_CASES = ((0.0, None), (0.5, None), (1.0, None), (0.5, 1000.0))
 
 
 def grid_csv() -> str:
@@ -154,6 +159,16 @@ def filter_counters(m: int) -> bytes:
     return bytes(f.counters)
 
 
+def cost_matrix_text() -> str:
+    """Each case's matrix, one row per line, under an `# alpha=… big_t=…` line."""
+    topo = default_topology()
+    out = []
+    for alpha, big_t in COST_MATRIX_CASES:
+        out.append(f"# alpha={alpha:g} big_t={big_t}\n")
+        out += [" ".join(map(str, row)) + "\n" for row in cost_matrix(topo, alpha, big_t).tolist()]
+    return "".join(out)
+
+
 def test_grid_csv_matches_golden():
     assert grid_csv() == (GOLDEN / "grid.csv").read_text(encoding="utf-8")
 
@@ -187,6 +202,10 @@ def test_filter_counters_match_golden():
         assert filter_counters(m) == (GOLDEN / f"cbf_m{m}.bin").read_bytes(), m
 
 
+def test_cost_matrix_matches_golden():
+    assert cost_matrix_text() == (GOLDEN / "cost_matrix.txt").read_text(encoding="utf-8")
+
+
 def test_tiny_filters_reach_sticky_counters():
     for m in (4, 7):
         assert 255 in filter_counters(m)
@@ -202,4 +221,5 @@ if __name__ == "__main__":
         (GOLDEN / "select.txt").write_text(select_text(Path(tmp)), encoding="utf-8")
     for size in FILTER_SIZES:
         (GOLDEN / f"cbf_m{size}.bin").write_bytes(filter_counters(size))
+    (GOLDEN / "cost_matrix.txt").write_text(cost_matrix_text(), encoding="utf-8")
     sys.exit(0)

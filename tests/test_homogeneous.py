@@ -42,6 +42,12 @@ def test_cost_homo_rejects_bad_args():
         cost_homo(2, 100.0, 1.5)
 
 
+def test_params_reject_non_finite_miss_penalty():
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            params(0.5, beta=beta)
+
+
 def test_cost_homo_convex_in_k():
     rng = random.Random(11)
     for _ in range(100):

@@ -1,14 +1,17 @@
-"""Property checks (Hypothesis) for the knapsack sweep, the strategies and
-the counting Bloom filter.
+"""Property checks (Hypothesis) for the knapsack sweep, the strategies, the
+counting Bloom filter and the topology's widest minimum-hop paths.
 
 The seeded loops in test_knapsack.py and test_strategies.py stay as they
 are; these properties let a failure shrink to a minimal example. The
 profile is set in conftest.py.
 """
 
+import itertools
 import math
+import re
 from collections import Counter
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -29,6 +32,7 @@ from dss.strategies import (
     select_pgm,
     select_pot,
 )
+from dss.topology import Edge, Topology, cost_matrix, min_hop_max_bottleneck
 
 # Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
 # must break exactly as a dedicated solve does.
@@ -148,3 +152,74 @@ def test_counting_filter_has_no_false_negatives(ops, num_counters):
             f.insert(item)
             present[item] += 1
         assert all(x in f for x, copies in present.items() if copies)
+
+
+# Few distinct bandwidths, so that minimum-hop paths often tie on width.
+bandwidths = st.sampled_from([1.0, 2.5, 5.0, 10.0])
+
+
+@st.composite
+def connected_graphs(draw, prefix="v"):
+    """2..7 nodes: a random spanning tree plus any of the other edges, with
+    the nodes listed in a random order."""
+    n = draw(st.integers(2, 7))
+    names = [f"{prefix}{i}" for i in range(n)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = [p for p in itertools.combinations(range(n), 2) if p not in pairs]
+    if extra:
+        pairs.update(draw(st.lists(st.sampled_from(extra), unique=True)))
+    edges = tuple(Edge(names[a], names[b], draw(bandwidths)) for a, b in sorted(pairs))
+    return Topology(tuple(draw(st.permutations(names))), edges)
+
+
+def _simple_paths(adjacency, path, dst, width):
+    """(hops, bottleneck) of every simple path that extends ``path`` to ``dst``."""
+    if path[-1] == dst:
+        yield len(path) - 1, width
+        return
+    for nxt, bw in adjacency[path[-1]].items():
+        if nxt not in path:
+            yield from _simple_paths(adjacency, path + [nxt], dst, min(width, bw))
+
+
+def brute_force_path(topo, src, dst):
+    """Fewest hops over all simple paths, then the widest bottleneck."""
+    hops, neg_width = min(
+        (h, -w) for h, w in _simple_paths(topo.adjacency, [src], dst, math.inf)
+    )
+    return hops, -neg_width
+
+
+@given(connected_graphs())
+def test_widest_min_hop_matches_brute_force(topo):
+    for src, dst in itertools.product(topo.nodes, repeat=2):
+        assert min_hop_max_bottleneck(topo, src, dst) == brute_force_path(topo, src, dst)
+
+
+@given(
+    connected_graphs(),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.sampled_from([None, 10.0, 777.7, 1000.0]),
+)
+# The cost's rounding depends on the order of evaluation. Here regrouping
+# (1 - alpha) * T / BW as (1 - alpha) * (T / BW) or (1 - alpha) / BW * T, or
+# adding the hop term last, rounds up to another integer.
+@example(Topology(("a", "b"), (Edge("a", "b", 5.0),)), 0.1, 105.0)
+@example(Topology(("a", "b"), (Edge("a", "b", 2.5),)), 0.12, 65.0)
+@example(Topology(("a", "b"), (Edge("a", "b", 2.5),)), 0.42, 127.5)
+def test_cost_matrix_cells_follow_the_scalar_formula(topo, alpha, big_t):
+    costs = cost_matrix(topo, alpha, big_t)
+    pairs = list(itertools.product(range(len(topo.nodes)), repeat=2))
+    paths = {(i, j): brute_force_path(topo, topo.nodes[i], topo.nodes[j]) for i, j in pairs}
+    if big_t is None:
+        big_t = max(w for (i, j), (_, w) in paths.items() if i != j)
+    for (i, j), (hops, width) in paths.items():
+        want = 1 if i == j else math.ceil(1.0 + alpha * hops + (1.0 - alpha) * big_t / width)
+        assert costs[i, j] == want, (i, j)
+
+
+@given(connected_graphs("a"), connected_graphs("b"))
+def test_disconnected_topology_names_unreachable_nodes(left, right):
+    unreachable = re.escape(f"unreachable: {sorted(right.nodes)}")
+    with pytest.raises(ValueError, match=unreachable):
+        Topology(left.nodes + right.nodes, left.edges + right.edges)

@@ -1,5 +1,6 @@
 """Trace-driven simulation: placement, per-request flow, metrics, workloads."""
 
+import math
 import os
 
 import numpy as np
@@ -45,6 +46,12 @@ def test_sim_config_validation():
         SimConfig(strategy="cpi", target_fpr=0.0)
     with pytest.raises(ValueError):
         SimConfig(strategy="cpi", alpha=1.2)
+
+
+def test_sim_config_rejects_non_finite_miss_penalty():
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(strategy="pi", miss_penalty=beta)
 
 
 def test_designated_stores_basics():
@@ -271,6 +278,12 @@ def test_zipf_trace_shape_and_determinism():
         zipf_trace(0, 100)
     with pytest.raises(ValueError):
         zipf_trace(100, 0)
+
+
+def test_zipf_trace_rejects_non_finite_skew():
+    for skew in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            zipf_trace(100, 100, skew=skew)
 
 
 def test_zipf_skew_concentrates_popularity():

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from dss.core import DatastoreProfile, SelectionContext
-from dss.knapsack import solve_greedy2
 from dss.strategies import (
     EXHAUSTIVE_MAX_CANDIDATES,
     PGM_EMPTY,
@@ -91,18 +90,6 @@ def test_dsalg_pp_examples():
 def test_dsalg_pp_rejects_fractional_costs():
     with pytest.raises(ValueError):
         select_dsalg_pp(make_ctx([(1, 1.5, 0.2)]))
-
-
-def test_dsalg_pp_accepts_pluggable_solver():
-    rng = random.Random(31)
-    for _ in range(50):
-        ctx = random_ctx(rng, n_max=8)
-        got = select_dsalg_pp(ctx, solver=solve_greedy2)
-        members = set(ids(got))
-        assert members <= {p.id for p in ctx.candidates}
-        assert phi(got, ctx.miss_penalty) >= phi(
-            select_exhaustive(ctx), ctx.miss_penalty
-        ) - 1e-9
 
 
 def test_dsalg_knap_examples():

@@ -98,6 +98,13 @@ def test_cost_matrix_rejects_small_bandwidth_scale():
         cost_matrix(line_abc(), alpha=1.5)
 
 
+def test_cost_matrix_rejects_non_finite_bandwidth_scale():
+    for big_t in (math.nan, math.inf):
+        for alpha in (0.5, 1.0):
+            with pytest.raises(ValueError, match="finite"):
+                cost_matrix(line_abc(), alpha=alpha, big_t=big_t)
+
+
 def test_parse_round_trip():
     topo = diamond()
     again = parse_topology(format_topology(topo))
