@@ -145,7 +145,9 @@ class FilterBank:
         """The bank's row-th filter, a view that shares the counters."""
         if not 0 <= row < len(self.seeds):
             raise IndexError(f"filter row {row} outside 0..{len(self.seeds) - 1}")
-        return CountingBloomFilter._view(self, row)
+        view = CountingBloomFilter.__new__(CountingBloomFilter)
+        view._attach(self, row)
+        return view
 
     def positives(self, block: np.ndarray) -> list[int]:
         """Rows whose counters under the item's index block are all positive."""
@@ -188,24 +190,10 @@ class CountingBloomFilter:
     def __init__(self, num_counters: int, num_hashes: int = 5, seed: int = 0):
         self._attach(FilterBank((seed,), num_counters, num_hashes), 0)
 
-    @classmethod
-    def _view(cls, bank: FilterBank, row: int) -> CountingBloomFilter:
-        view = cls.__new__(cls)
-        view._attach(bank, row)
-        return view
-
     def _attach(self, bank: FilterBank, row: int) -> None:
         self.bank = bank
         self.row = row
         self._span = slice(row * bank.num_hashes, (row + 1) * bank.num_hashes)
-
-    @property
-    def num_counters(self) -> int:
-        return self.bank.num_counters
-
-    @property
-    def num_hashes(self) -> int:
-        return self.bank.num_hashes
 
     @property
     def seed(self) -> int:

@@ -51,22 +51,21 @@ def _strategy_name(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _strategy_list(value: str) -> list[str]:
-    return [_strategy_name(tok) for tok in value.split(",") if tok.strip()]
+def _list_of(convert, what: str):
+    """An argparse type for a comma-separated list of at least one value;
+    empty tokens are skipped."""
 
+    def parse(value: str) -> list:
+        try:
+            values = [convert(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of one or more {what}, got {value!r}")
+        return values
 
-def _float_list(value: str) -> list[float]:
-    try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
-
-
-def _int_list(value: str) -> list[int]:
-    try:
-        return [int(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_env(simulate)
 
     bench = sub.add_parser("bench", help="strategy/beta/k/seed benchmark grid")
-    bench.add_argument("--strategies", type=_strategy_list,
+    bench.add_argument("--strategies", type=_list_of(_strategy_name, "strategy names"),
                        default=list(DEFAULT_BENCH_STRATEGIES))
-    bench.add_argument("--betas", type=_float_list, default=[100.0])
-    bench.add_argument("--ks", type=_int_list, default=[1, 5])
-    bench.add_argument("--seeds", type=_int_list, default=[0])
+    bench.add_argument("--betas", type=_list_of(float, "numbers"), default=[100.0])
+    bench.add_argument("--ks", type=_list_of(int, "integers"), default=[1, 5])
+    bench.add_argument("--seeds", type=_list_of(int, "integers"), default=[0])
     add_sim_env(bench)
 
     return parser

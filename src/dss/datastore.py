@@ -15,49 +15,44 @@ from collections import OrderedDict
 from .cbf import CountingBloomFilter
 
 
+# The estimator's rule: accesses per epoch, the weight of the newest epoch
+# in the moving average, and the estimate before any access.
+EPOCH_LEN = 100
+WEIGHT = 0.1
+INITIAL_ESTIMATE = 0.5
+
+
 class RhoEstimator:
     """Epoch-based miss-ratio estimate.
 
-    Through the first ``epoch_len`` accesses the estimate is the plain
+    Through the first ``EPOCH_LEN`` accesses the estimate is the plain
     cumulative miss ratio. Afterwards it is frozen between epoch boundaries
     and refreshed once per epoch by an exponential moving average:
 
-        estimate <- weight * (epoch misses / epoch_len) + (1 - weight) * estimate
+        estimate <- WEIGHT * (epoch misses / EPOCH_LEN) + (1 - WEIGHT) * estimate
 
-    Before any access at all, ``estimate`` is ``initial``.
+    Before any access at all, ``estimate`` is ``INITIAL_ESTIMATE``.
     """
 
-    __slots__ = ("epoch_len", "weight", "_estimate", "_accesses", "_misses",
-                 "_epoch_accesses", "_epoch_misses")
+    __slots__ = ("_estimate", "_accesses", "_misses", "_epoch_misses")
 
-    def __init__(self, epoch_len: int = 100, weight: float = 0.1, initial: float = 0.5):
-        if epoch_len < 1:
-            raise ValueError(f"epoch_len must be >= 1, got {epoch_len}")
-        if not (0.0 < weight <= 1.0):
-            raise ValueError(f"weight must lie in (0, 1], got {weight}")
-        if not (0.0 <= initial <= 1.0):
-            raise ValueError(f"initial must lie in [0, 1], got {initial}")
-        self.epoch_len = epoch_len
-        self.weight = weight
-        self._estimate = initial
+    def __init__(self):
+        self._estimate = INITIAL_ESTIMATE
         self._accesses = 0
         self._misses = 0
-        self._epoch_accesses = 0
         self._epoch_misses = 0
 
     def record(self, miss: bool) -> None:
         self._accesses += 1
-        self._epoch_accesses += 1
         if miss:
             self._misses += 1
             self._epoch_misses += 1
-        if self._accesses <= self.epoch_len:
+        if self._accesses <= EPOCH_LEN:
             self._estimate = self._misses / self._accesses
-        elif self._epoch_accesses == self.epoch_len:
-            epoch_ratio = self._epoch_misses / self.epoch_len
-            self._estimate = self.weight * epoch_ratio + (1.0 - self.weight) * self._estimate
-        if self._epoch_accesses == self.epoch_len:
-            self._epoch_accesses = 0
+        if self._accesses % EPOCH_LEN == 0:
+            if self._accesses > EPOCH_LEN:
+                epoch_ratio = self._epoch_misses / EPOCH_LEN
+                self._estimate = WEIGHT * epoch_ratio + (1.0 - WEIGHT) * self._estimate
             self._epoch_misses = 0
 
     @property
@@ -74,19 +69,13 @@ class Datastore:
 
     __slots__ = ("id", "capacity", "indicator", "estimator", "_contents")
 
-    def __init__(
-        self,
-        store_id: int,
-        capacity: int,
-        indicator: CountingBloomFilter,
-        estimator: RhoEstimator | None = None,
-    ):
+    def __init__(self, store_id: int, capacity: int, indicator: CountingBloomFilter):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.id = store_id
         self.capacity = capacity
         self.indicator = indicator
-        self.estimator = estimator if estimator is not None else RhoEstimator()
+        self.estimator = RhoEstimator()
         # Resident item -> the counter indexes its insert bumped, so an
         # eviction un-counts it without hashing it again.
         self._contents: OrderedDict = OrderedDict()

@@ -90,6 +90,8 @@ class SimConfig:
             raise ValueError(f"target_fpr must lie in (0, 1), got {self.target_fpr}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -158,19 +160,23 @@ class _ItemHashes:
     small-int ranking per item), not in per-item Python containers.
     """
 
-    __slots__ = ("seed", "filter_seeds", "num_counters", "num_hashes",
+    __slots__ = ("seed", "filter_seeds", "num_counters",
                  "_rows", "_blocks", "_ranks", "_index_type", "_rank_type")
 
-    def __init__(self, seed: int, n_stores: int, num_counters: int, num_hashes: int):
+    def __init__(self, seed: int, n_stores: int, num_counters: int):
         self.seed = seed
         self.filter_seeds = tuple(seed * 1_000_003 + j for j in range(n_stores))
         self.num_counters = num_counters
-        self.num_hashes = num_hashes
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
         self._index_type = np.int32 if n_stores * num_counters <= 2**31 else np.int64
         self._rank_type = np.min_scalar_type(n_stores - 1)
+
+    def bank(self) -> FilterBank:
+        """An empty filter bank, one row per store, that reads its index
+        blocks from this table."""
+        return FilterBank(self.filter_seeds, self.num_counters, NUM_HASHES, block=self.block)
 
     def block(self, item) -> np.ndarray:
         chunk, offset = divmod(self._row(item), _CHUNK_ROWS)
@@ -189,12 +195,10 @@ class _ItemHashes:
         chunk, offset = divmod(row, _CHUNK_ROWS)
         seeds = self.filter_seeds
         if offset == 0:
-            width = len(seeds) * self.num_hashes
+            width = len(seeds) * NUM_HASHES
             self._blocks.append(np.empty((_CHUNK_ROWS, width), dtype=self._index_type))
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
-        self._blocks[chunk][offset] = index_block(
-            item, seeds, self.num_counters, self.num_hashes
-        )
+        self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
         self._rows[item] = row
         return row
@@ -213,21 +217,8 @@ class _Shared:
 def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
     cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
     num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
-    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters, NUM_HASHES)
+    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters)
     return _Shared(cost_rows, hashes)
-
-
-def _build_stores(
-    config: SimConfig, hashes: _ItemHashes
-) -> tuple[FilterBank, list[Datastore]]:
-    """One filter bank over the table's filter seeds, and a store per row."""
-    bank = FilterBank(hashes.filter_seeds, hashes.num_counters, hashes.num_hashes,
-                      block=hashes.block)
-    stores = [
-        Datastore(j, config.store_capacity, bank.filter(j))
-        for j in range(len(hashes.filter_seeds))
-    ]
-    return bank, stores
 
 
 def run(
@@ -253,7 +244,8 @@ def run(
         )
     shared = _shared or _make_shared(config, topo)
     hashes = shared.hashes
-    bank, stores = _build_stores(config, hashes)
+    bank = hashes.bank()
+    stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
     strategy = None if ground_truth else STRATEGIES[config.strategy]
 

@@ -25,6 +25,8 @@ def zipf_trace(
         raise ValueError(f"catalog_size must be >= 1, got {catalog_size}")
     if not (math.isfinite(skew) and skew >= 0):
         raise ValueError(f"skew must be finite and >= 0, got {skew}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
     weights = ranks ** -skew
     cumulative = np.cumsum(weights)

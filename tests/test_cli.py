@@ -220,6 +220,14 @@ def test_non_finite_inputs_are_input_errors(argv, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--synth-seed"])
+def test_negative_seed_is_an_input_error_naming_the_seed(flag, capsys):
+    code, out, err = run_cli(["simulate", "--strategy", "pi", flag, "-1"] + SMALL_SIM, capsys)
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_simulate_repeats_identically(tmp_path, capsys):
     args = ["simulate", "--strategy", "umb", "--k", "2", "--seed", "9"] + SMALL_SIM
     first = tmp_path / "a.csv"
@@ -272,3 +280,14 @@ def test_bench_grid_and_markdown(tmp_path, capsys):
     summary = (tmp_path / "grid.csv.md").read_text()
     assert "beta=50, k=1" in summary
     assert "| cpi |" in summary
+
+
+@pytest.mark.parametrize("flag", ["--strategies", "--betas", "--ks", "--seeds"])
+@pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank"])
+def test_bench_rejects_an_empty_list(flag, value, tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["bench", flag, value, "--out", os.fspath(out_path)] + SMALL_SIM)
+    assert err.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert not out_path.exists()

@@ -14,7 +14,7 @@ def make_store(capacity=4, seed=0):
 
 
 def test_estimator_cumulative_before_first_epoch():
-    est = RhoEstimator(epoch_len=100)
+    est = RhoEstimator()
     assert est.estimate == 0.5  # uninformative prior before any access
     for miss in [True, False, False, True, False, False, False, True, False, False]:
         est.record(miss)
@@ -23,7 +23,7 @@ def test_estimator_cumulative_before_first_epoch():
 
 
 def test_estimator_epoch_rollover():
-    est = RhoEstimator(epoch_len=100, weight=0.1)
+    est = RhoEstimator()
     for i in range(100):
         est.record(miss=i < 30)
     assert est.estimate == pytest.approx(0.3)
@@ -34,7 +34,7 @@ def test_estimator_epoch_rollover():
 
 
 def test_estimator_mid_epoch_estimate_is_frozen():
-    est = RhoEstimator(epoch_len=100, weight=0.1)
+    est = RhoEstimator()
     for i in range(100):
         est.record(miss=i < 30)
     for _ in range(50):
@@ -43,29 +43,20 @@ def test_estimator_mid_epoch_estimate_is_frozen():
 
 
 def test_estimator_fixed_points():
-    clean = RhoEstimator(epoch_len=100)
+    clean = RhoEstimator()
     for _ in range(200):
         clean.record(miss=False)
     assert clean.estimate == 0.0
-    dirty = RhoEstimator(epoch_len=100)
+    dirty = RhoEstimator()
     for _ in range(200):
         dirty.record(miss=True)
     assert dirty.estimate == 1.0
 
 
-def test_estimator_validation():
-    with pytest.raises(ValueError):
-        RhoEstimator(epoch_len=0)
-    with pytest.raises(ValueError):
-        RhoEstimator(weight=0.0)
-    with pytest.raises(ValueError):
-        RhoEstimator(initial=1.5)
-
-
 def test_estimator_converges_to_bernoulli_rate():
     for p, seed in [(0.1, 51), (0.3, 52), (0.7, 53)]:
         rng = random.Random(seed)
-        est = RhoEstimator(epoch_len=100, weight=0.1)
+        est = RhoEstimator()
         for _ in range(50 * 100):
             est.record(miss=rng.random() < p)
         assert abs(est.estimate - p) <= 0.05

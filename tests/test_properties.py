@@ -1,5 +1,6 @@
 """Property checks (Hypothesis) for the knapsack sweep, the strategies, the
-counting Bloom filter and the topology's widest minimum-hop paths.
+counting Bloom filter, the stores' miss-ratio estimator and the topology's
+widest minimum-hop paths.
 
 The seeded loops in test_knapsack.py and test_strategies.py stay as they
 are; these properties let a failure shrink to a minimal example. The
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from dss.cbf import CountingBloomFilter
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
+from dss.datastore import RhoEstimator
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
@@ -152,6 +154,41 @@ def test_counting_filter_has_no_false_negatives(ops, num_counters):
             f.insert(item)
             present[item] += 1
         assert all(x in f for x, copies in present.items() if copies)
+
+
+def reference_estimates(misses):
+    """The estimator's rule as three counters: the cumulative miss ratio
+    through the first 100 accesses, then an exponential moving average of
+    each epoch's miss ratio (epoch 100, weight 0.1), prior 0.5."""
+    estimate, accesses, total, epoch = 0.5, 0, 0, 0
+    for miss in misses:
+        accesses += 1
+        total += miss
+        epoch += miss
+        if accesses <= 100:
+            estimate = total / accesses
+        elif accesses % 100 == 0:
+            estimate = 0.1 * (epoch / 100) + (1.0 - 0.1) * estimate
+        if accesses % 100 == 0:
+            epoch = 0
+        yield estimate
+
+
+@given(st.lists(st.booleans(), max_size=450))
+@example([])
+@example([i % 3 == 0 for i in range(450)])
+@example([i < 30 or 200 <= i < 210 or i >= 400 for i in range(450)])
+# 35 misses per epoch: 35 / 100 and 35 * 0.01 are different floats.
+@example([i % 100 < (10 if i < 100 else 35) for i in range(450)])
+def test_estimator_follows_the_epoch_rule_bit_for_bit(misses):
+    """After every record the estimate equals the reference's float for
+    float, over sequences that cross four epoch boundaries."""
+    est = RhoEstimator()
+    assert est.estimate.hex() == (0.5).hex()
+    for n, (miss, expected) in enumerate(zip(misses, reference_estimates(misses)), 1):
+        est.record(miss)
+        assert est.estimate.hex() == expected.hex()
+        assert est.accesses == n
 
 
 # Few distinct bandwidths, so that minimum-hop paths often tie on width.

@@ -54,6 +54,11 @@ def test_sim_config_rejects_non_finite_miss_penalty():
             SimConfig(strategy="pi", miss_penalty=beta)
 
 
+def test_sim_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(strategy="pi", seed=-1)
+
+
 def test_designated_stores_basics():
     full = designated_stores("item", 19, 19, seed=0)
     assert full == tuple(range(19))
@@ -286,6 +291,11 @@ def test_zipf_trace_rejects_non_finite_skew():
             zipf_trace(100, 100, skew=skew)
 
 
+def test_zipf_trace_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        zipf_trace(100, 100, seed=-1)
+
+
 def test_zipf_skew_concentrates_popularity():
     flat = zipf_trace(20_000, 50, skew=0.0, seed=19)
     steep = zipf_trace(20_000, 50, skew=2.0, seed=19)
@@ -354,7 +364,7 @@ def test_grid_hashes_each_item_once_per_seed_and_call(monkeypatch):
 def test_item_hash_state_is_compact():
     import dss.sim
 
-    hashes = dss.sim._ItemHashes(seed=1, n_stores=19, num_counters=8181, num_hashes=5)
+    hashes = dss.sim._ItemHashes(seed=1, n_stores=19, num_counters=8181)
     for item in range(3000):
         hashes.block(item)
     rows = 3 * dss.sim._CHUNK_ROWS
