@@ -82,21 +82,45 @@ def index_block(
     h1 and h2 are reduced mod m before the arithmetic, which keeps
     (h1 + i*h2) mod m exact in 64 bits.
     """
+    hashers, steps, offsets = _block_plan(tuple(seeds), num_counters, num_hashes)
     payload = _item_bytes(item)
-    digests = b"".join(
-        hashlib.blake2b(
-            payload, digest_size=16, key=(seed & _MASK64).to_bytes(8, "little")
-        ).digest()
+    digests = []
+    for keyed in hashers:
+        h = keyed.copy()
+        h.update(payload)
+        digests.append(h.digest())
+    m = np.uint64(num_counters)
+    # Columns h1 and h2; odd stride so double hashing never collapses to one index.
+    halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(hashers), 2)
+    halves = np.bitwise_or(halves, _ODD_H2)
+    np.remainder(halves, m, out=halves)
+    block = steps * halves[:, 1:]
+    block += halves[:, :1]
+    np.remainder(block, m, out=block)
+    block += offsets
+    return block.ravel().view(np.int64)
+
+
+# ORed into an item's (h1, h2) digest halves: sets h2's low bit only.
+_ODD_H2 = np.array([0, 1], dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_plan(seeds: tuple, num_counters: int, num_hashes: int) -> tuple:
+    """What ``index_block`` needs besides the item, for one filter layout:
+    a blake2b hasher keyed by each filter's seed and fed nothing yet (an
+    item's digest is a copy of it fed the item), the hash steps
+    0..num_hashes-1, and each filter's first flat index as a column. The
+    arrays are read-only."""
+    hashers = tuple(
+        hashlib.blake2b(digest_size=16, key=(seed & _MASK64).to_bytes(8, "little"))
         for seed in seeds
     )
-    halves = np.frombuffer(digests, dtype="<u8").reshape(len(seeds), 2)
-    m = np.uint64(num_counters)
-    h1 = halves[:, :1] % m
-    # Odd stride so double hashing never collapses to one index.
-    h2 = (halves[:, 1:] | np.uint64(1)) % m
-    cols = (h1 + np.arange(num_hashes, dtype=np.uint64) * h2) % m
-    rows = np.arange(len(seeds), dtype=np.uint64)[:, None] * m
-    return (rows + cols).ravel().astype(np.int64)
+    steps = np.arange(num_hashes, dtype=np.uint64)
+    offsets = np.arange(len(seeds), dtype=np.uint64)[:, None] * np.uint64(num_counters)
+    steps.flags.writeable = False
+    offsets.flags.writeable = False
+    return hashers, steps, offsets
 
 
 class FilterBank:
@@ -151,8 +175,8 @@ class FilterBank:
 
     def positives(self, block: np.ndarray) -> list[int]:
         """Rows whose counters under the item's index block are all positive."""
-        hits = self._flat.take(block).reshape(len(self.seeds), self.num_hashes).all(axis=1)
-        return hits.nonzero()[0].tolist()
+        counts = self._flat.take(block).reshape(len(self.seeds), self.num_hashes)
+        return np.minimum.reduce(counts, axis=1).nonzero()[0].tolist()
 
     def insert(self, indexes: Sequence[int]) -> None:
         buf = self._buf
@@ -212,10 +236,13 @@ class CountingBloomFilter:
     def _indexes(self, item) -> list[int]:
         return self.bank.block(item)[self._span].tolist()
 
-    def insert(self, item) -> list[int]:
+    def insert(self, item, indexes: Sequence[int] | None = None) -> Sequence[int]:
         """Count the item in; returns its counter indexes, which ``remove``
-        accepts in place of hashing the item again."""
-        indexes = self._indexes(item)
+        accepts in place of hashing the item again. ``indexes``, when given,
+        are the item's counter indexes in this filter (its slice of the
+        item's index block)."""
+        if indexes is None:
+            indexes = self._indexes(item)
         self.bank.insert(indexes)
         return indexes
 

@@ -117,6 +117,19 @@ class SelectionContext:
                     f"access costs are normalized to >= 1, got {p.access_cost} for id {p.id}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, candidates: tuple[DatastoreProfile, ...], miss_penalty: float
+    ) -> SelectionContext:
+        """A context built without ``__post_init__``'s checks, for a caller
+        whose inputs pass them by construction: a tuple of profiles with
+        distinct ids and access costs >= 1, and a finite miss penalty >= 1.
+        Equal to ``SelectionContext(candidates, miss_penalty)``."""
+        ctx = object.__new__(cls)
+        object.__setattr__(ctx, "candidates", candidates)
+        object.__setattr__(ctx, "miss_penalty", miss_penalty)
+        return ctx
+
     @property
     def n_positive(self) -> int:
         return len(self.candidates)

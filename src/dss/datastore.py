@@ -96,15 +96,17 @@ class Datastore:
         self.estimator.record(miss=not hit)
         return hit
 
-    def insert(self, item):
+    def insert(self, item, indexes=None):
         """Add an item (most recently used position), evicting the least
         recently used one if full. Returns the evicted item or None.
+        ``indexes``, when given, are the item's counter indexes in this
+        store's filter, so the filter need not look the item up again.
         Inserting an item already present is a caller bug."""
         if item in self._contents:
             raise ValueError(f"item {item!r} already present in store {self.id}")
         evicted = None
         if len(self._contents) >= self.capacity:
-            evicted, indexes = self._contents.popitem(last=False)
-            self.indicator.remove(evicted, indexes)
-        self._contents[item] = self.indicator.insert(item)
+            evicted, evicted_indexes = self._contents.popitem(last=False)
+            self.indicator.remove(evicted, evicted_indexes)
+        self._contents[item] = self.indicator.insert(item, indexes)
         return evicted

@@ -130,38 +130,44 @@ def designated_stores(item, k: int, n_stores: int, seed: int) -> tuple[int, ...]
     """
     if not (1 <= k <= n_stores):
         raise ValueError(f"k must lie in 1..{n_stores}, got {k}")
-    return tuple(sorted(_store_ranking(item, n_stores, seed)[:k]))
+    return tuple(sorted(_store_ranking(item, n_stores, seed)[:k].tolist()))
 
 
-def _store_ranking(item, n_stores: int, seed: int) -> list[int]:
+def _store_ranking(item, n_stores: int, seed: int) -> np.ndarray:
     """Stores by descending keyed score of the item, ties toward the lower id."""
     key = (seed & (1 << 64) - 1).to_bytes(8, "little")
     prefix = hashlib.blake2b(_item_bytes(item), digest_size=8, key=key)
-    scores = []
+    digests = []
     for j in range(n_stores):
         h = prefix.copy()
         h.update(j.to_bytes(4, "little"))
-        scores.append((-int.from_bytes(h.digest(), "little"), j))
-    scores.sort()
-    return [j for _, j in scores]
+        digests.append(h.digest())
+    scores = np.frombuffer(b"".join(digests), dtype="<u8")
+    # Ascending ~score is descending score; the stable sort keeps ties in id order.
+    return np.argsort(~scores, kind="stable")
 
 
 # Rows per chunk of the item-hash table. Chunks are never copied as the
 # table grows, and at most one is partly empty.
 _CHUNK_ROWS = 1024
 
+# Counters in one run's filter bank, over all stores: the most that int32
+# index blocks can address.
+_MAX_BANK_COUNTERS = 2**31
+
 
 class _ItemHashes:
     """Hash state per distinct item for one seed, filled as items first
     appear: the item's index block in every store's filter, and its store
-    ranking, whose first k entries are ``designated_stores(item, k, ...)``.
+    ranking, whose first k entries are ``designated_stores(item, k, ...)``
+    (in rank order, not sorted).
 
     Rows live in fixed-size array chunks (an int32 index block and a
     small-int ranking per item), not in per-item Python containers.
     """
 
-    __slots__ = ("seed", "filter_seeds", "num_counters",
-                 "_rows", "_blocks", "_ranks", "_index_type", "_rank_type")
+    __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
+                 "_rank_type")
 
     def __init__(self, seed: int, n_stores: int, num_counters: int):
         self.seed = seed
@@ -170,7 +176,6 @@ class _ItemHashes:
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
-        self._index_type = np.int32 if n_stores * num_counters <= 2**31 else np.int64
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
     def bank(self) -> FilterBank:
@@ -179,24 +184,23 @@ class _ItemHashes:
         return FilterBank(self.filter_seeds, self.num_counters, NUM_HASHES, block=self.block)
 
     def block(self, item) -> np.ndarray:
-        chunk, offset = divmod(self._row(item), _CHUNK_ROWS)
-        return self._blocks[chunk][offset]
+        return self.row(item)[0]
 
-    def placement(self, item, k: int) -> tuple[int, ...]:
-        """Same as designated_stores(item, k, n_stores, seed)."""
-        chunk, offset = divmod(self._row(item), _CHUNK_ROWS)
-        return tuple(sorted(self._ranks[chunk][offset, :k].tolist()))
-
-    def _row(self, item) -> int:
+    def row(self, item) -> tuple[np.ndarray, np.ndarray]:
+        """The item's index block and store ranking (views into the table)."""
         row = self._rows.get(item)
-        if row is not None:
-            return row
+        if row is None:
+            row = self._fill(item)
+        chunk, offset = divmod(row, _CHUNK_ROWS)
+        return self._blocks[chunk][offset], self._ranks[chunk][offset]
+
+    def _fill(self, item) -> int:
         row = len(self._rows)
         chunk, offset = divmod(row, _CHUNK_ROWS)
         seeds = self.filter_seeds
         if offset == 0:
             width = len(seeds) * NUM_HASHES
-            self._blocks.append(np.empty((_CHUNK_ROWS, width), dtype=self._index_type))
+            self._blocks.append(np.empty((_CHUNK_ROWS, width), dtype=np.int32))
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
         self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
@@ -215,10 +219,16 @@ class _Shared:
 
 
 def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
-    cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
+    n_stores = len(topo.nodes)
     num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
-    hashes = _ItemHashes(config.seed, len(topo.nodes), num_counters)
-    return _Shared(cost_rows, hashes)
+    if n_stores * num_counters > _MAX_BANK_COUNTERS:
+        raise ValueError(
+            f"target_fpr {config.target_fpr:g} at store_capacity {config.store_capacity} "
+            f"needs {num_counters} counters per filter, {n_stores * num_counters} over "
+            f"{n_stores} stores; at most {_MAX_BANK_COUNTERS} fit one filter bank"
+        )
+    cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
+    return _Shared(cost_rows, _ItemHashes(config.seed, n_stores, num_counters))
 
 
 def run(
@@ -254,6 +264,10 @@ def run(
     cost_rows = shared.cost_rows
     beta = config.miss_penalty
     k = config.locations_per_item
+    estimators = [store.estimator for store in stores]
+    # (estimate, profile) per client and store, rebuilt only when the
+    # store's estimate has moved since.
+    profile_cache = [[None] * n_stores for _ in range(n_stores)]
 
     log = [] if record_log else None
     access_total = 0.0
@@ -261,16 +275,20 @@ def run(
 
     for item, client in zip(items, clients.tolist()):
         row = cost_rows[client]
+        block, ranking = hashes.row(item)
         if ground_truth:
-            chosen = _cheapest_holder(stores, hashes.placement(item, k), item, row)
+            chosen = _cheapest_holder(stores, ranking[:k].tolist(), item, row)
         else:
-            profiles = tuple(
-                DatastoreProfile(
-                    j, float(row[j]), clamp_mis_ratio(stores[j].estimator.estimate)
-                )
-                for j in bank.positives(hashes.block(item))
-            )
-            ctx = SelectionContext(profiles, beta)
+            cached = profile_cache[client]
+            profiles = []
+            for j in bank.positives(block):
+                estimate = estimators[j].estimate
+                entry = cached[j]
+                if entry is None or entry[0] != estimate:
+                    profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
+                    entry = cached[j] = (estimate, profile)
+                profiles.append(entry[1])
+            ctx = SelectionContext._trusted(tuple(profiles), beta)
             chosen = [p.id for p in strategy(ctx)]
         paid = 0.0
         hit = False
@@ -281,9 +299,10 @@ def run(
         access_total += paid
         if not hit:
             misses += 1
-            for j in hashes.placement(item, k):
+            indexes = block.tolist()
+            for j in ranking[:k].tolist():
                 if not stores[j].holds(item):
-                    stores[j].insert(item)
+                    stores[j].insert(item, indexes[j * NUM_HASHES:(j + 1) * NUM_HASHES])
         if log is not None:
             log.append((item, client, tuple(chosen), paid, hit))
 

@@ -228,6 +228,20 @@ def test_negative_seed_is_an_input_error_naming_the_seed(flag, capsys):
     assert "seed must be >= 0" in err
 
 
+def test_oversized_filters_are_an_input_error(monkeypatch, capsys):
+    import dss.sim
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a filter bank was allocated")
+
+    monkeypatch.setattr(dss.sim, "FilterBank", no_bank)
+    code, out, err = run_cli(["simulate", "--strategy", "cpi", "--target-fpr", "1e-30"]
+                             + SMALL_SIM, capsys)
+    assert code == 2
+    assert out == ""
+    assert "target_fpr" in err and "store_capacity" in err
+
+
 def test_simulate_repeats_identically(tmp_path, capsys):
     args = ["simulate", "--strategy", "umb", "--k", "2", "--seed", "9"] + SMALL_SIM
     first = tmp_path / "a.csv"

@@ -94,6 +94,17 @@ def test_selection_context_validation():
         SelectionContext((DatastoreProfile(1, 0.5, 0.5),), 100.0)
 
 
+def test_trusted_context_equals_the_checked_one():
+    stores = (DatastoreProfile(3, 1.0, 0.0), DatastoreProfile(0, 7.0, 0.25),
+              DatastoreProfile(9, 2.5, RHO_MAX))
+    for candidates in ((), stores[:1], stores):
+        for beta in (1.0, 100.0):
+            trusted = SelectionContext._trusted(candidates, beta)
+            assert type(trusted) is SelectionContext
+            assert trusted == SelectionContext(candidates, beta)
+            assert trusted.n_positive == len(candidates)
+
+
 def test_expected_cost_two_stores():
     sel = (DatastoreProfile(1, 1.0, 0.5), DatastoreProfile(2, 2.0, 0.5))
     got = expected_cost(sel, 100.0)

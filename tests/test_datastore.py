@@ -114,6 +114,20 @@ def test_eviction_uncounts_without_hashing_again():
     assert bytes(store.indicator.counters) == bytes(only_b.counters)
 
 
+def test_evicting_insert_counts_the_new_item_under_its_own_indexes():
+    # Given indexes replace the lookup; the evicted item leaves under the
+    # indexes kept at its own insert.
+    def no_lookup(item):
+        raise AssertionError(f"looked {item!r} up")
+
+    store = Datastore(0, 1, FilterBank((3,), 64, 4, block=no_lookup).filter(0))
+    assert store.insert("a", [1, 2, 3, 4]) is None
+    assert store.insert("b", [5, 6, 7, 9]) == "a"
+    counters = bytes(store.indicator.counters)
+    assert [i for i, value in enumerate(counters) if value] == [5, 6, 7, 9]
+    assert all(counters[i] == 1 for i in (5, 6, 7, 9))
+
+
 def test_matches_reference_lru_on_random_trace():
     rng = random.Random(54)
     store = make_store(capacity=50, seed=6)

@@ -1,22 +1,25 @@
 """Property checks (Hypothesis) for the knapsack sweep, the strategies, the
-counting Bloom filter, the stores' miss-ratio estimator and the topology's
-widest minimum-hop paths.
+counting Bloom filter and its index blocks, the simulator's store ranking,
+the stores' miss-ratio estimator and the topology's widest minimum-hop
+paths.
 
 The seeded loops in test_knapsack.py and test_strategies.py stay as they
 are; these properties let a failure shrink to a minimal example. The
 profile is set in conftest.py.
 """
 
+import hashlib
 import itertools
 import math
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dss.cbf import CountingBloomFilter
+from dss.cbf import CountingBloomFilter, _item_bytes, index_block
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
 from dss.datastore import RhoEstimator
 from dss.knapsack import (
@@ -34,6 +37,7 @@ from dss.strategies import (
     select_pgm,
     select_pot,
 )
+from dss.sim import _store_ranking, designated_stores
 from dss.topology import Edge, Topology, cost_matrix, min_hop_max_bottleneck
 
 # Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
@@ -154,6 +158,65 @@ def test_counting_filter_has_no_false_negatives(ops, num_counters):
             f.insert(item)
             present[item] += 1
         assert all(x in f for x, copies in present.items() if copies)
+
+
+def reference_index_block(item, seeds, num_counters, num_hashes):
+    """index_block as first written: one temporary per step."""
+    payload = _item_bytes(item)
+    digests = b"".join(
+        hashlib.blake2b(
+            payload, digest_size=16, key=(seed & (1 << 64) - 1).to_bytes(8, "little")
+        ).digest()
+        for seed in seeds
+    )
+    halves = np.frombuffer(digests, dtype="<u8").reshape(len(seeds), 2)
+    m = np.uint64(num_counters)
+    h1 = halves[:, :1] % m
+    h2 = (halves[:, 1:] | np.uint64(1)) % m
+    cols = (h1 + np.arange(num_hashes, dtype=np.uint64) * h2) % m
+    rows = np.arange(len(seeds), dtype=np.uint64)[:, None] * m
+    return (rows + cols).ravel().astype(np.int64)
+
+
+def reference_ranking(item, n_stores, seed):
+    """Store ranking as first written: a sort of (-score, id) tuples."""
+    key = (seed & (1 << 64) - 1).to_bytes(8, "little")
+    prefix = hashlib.blake2b(_item_bytes(item), digest_size=8, key=key)
+    scores = []
+    for j in range(n_stores):
+        h = prefix.copy()
+        h.update(j.to_bytes(4, "little"))
+        scores.append((-int.from_bytes(h.digest(), "little"), j))
+    scores.sort()
+    return [j for _, j in scores]
+
+
+hashed_items = st.one_of(
+    st.integers(-(2**127), 2**127 - 1), st.text(max_size=12), st.binary(max_size=12)
+)
+
+
+@given(
+    hashed_items,
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
+    st.one_of(st.integers(1, 2**20), st.integers(2**32 + 1, 2**40)),
+    st.integers(1, 8),
+)
+@example(0, [0], 1, 1)
+@example(-1, [2**64 - 1, 2**64], 2**32 + 1, 5)
+def test_index_block_matches_the_reference(item, seeds, num_counters, num_hashes):
+    got = index_block(item, seeds, num_counters, num_hashes)
+    want = reference_index_block(item, seeds, num_counters, num_hashes)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+@given(hashed_items, st.integers(1, 40), st.integers(0, 2**70), st.data())
+def test_store_ranking_matches_the_tuple_sort(item, n_stores, seed, data):
+    want = reference_ranking(item, n_stores, seed)
+    assert _store_ranking(item, n_stores, seed).tolist() == want
+    k = data.draw(st.integers(1, n_stores))
+    assert designated_stores(item, k, n_stores, seed) == tuple(sorted(want[:k]))
 
 
 def reference_estimates(misses):

@@ -165,6 +165,41 @@ def test_ground_truth_looks_only_at_designated_stores(monkeypatch):
     assert len(calls) <= 2 * (len(trace) + metrics.misses)
 
 
+@pytest.mark.parametrize("strategy", ["pi", "cpi"])
+def test_run_looks_each_request_up_once(strategy, monkeypatch):
+    # One table lookup per request serves the indicator query (or pi's
+    # holder search) and, on a miss, placement and every filter insert.
+    import dss.sim
+
+    lookups = []
+    row = dss.sim._ItemHashes.row
+
+    def counting_row(self, item):
+        lookups.append(item)
+        return row(self, item)
+
+    monkeypatch.setattr(dss.sim._ItemHashes, "row", counting_row)
+    trace = zipf_trace(600, 5000, 0.6, seed=23)
+    config = SimConfig(strategy=strategy, locations_per_item=5, store_capacity=10, seed=2)
+    metrics = run(config, trace=trace)
+    assert metrics.misses > len(trace) // 2
+    assert lookups == trace
+
+
+def test_oversized_filter_bank_fails_before_allocation(monkeypatch):
+    import dss.sim
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a filter bank was allocated")
+
+    monkeypatch.setattr(dss.sim, "FilterBank", no_bank)
+    config = SimConfig(strategy="cpi", store_capacity=1000, target_fpr=1e-30)
+    with pytest.raises(ValueError, match="target_fpr 1e-30 at store_capacity 1000"):
+        run(config, trace=["x"])
+    with pytest.raises(ValueError, match="target_fpr"):
+        run_grid(["cpi"], [100.0], [1], [0], trace=["x"], target_fpr=1e-30)
+
+
 def test_pi_normalizes_to_one():
     config = SimConfig(strategy="pi", store_capacity=50, seed=1)
     trace = zipf_trace(500, 300, seed=11)
@@ -370,4 +405,5 @@ def test_item_hash_state_is_compact():
     rows = 3 * dss.sim._CHUNK_ROWS
     assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= 400
     for item in (0, 1500, 2999):  # a row in every chunk
-        assert hashes.placement(item, 3) == designated_stores(item, 3, 19, seed=1)
+        ranking = hashes.row(item)[1]
+        assert tuple(sorted(ranking[:3].tolist())) == designated_stores(item, 3, 19, seed=1)
