@@ -129,9 +129,8 @@ class FilterBank:
 
     ``block(item)`` gives the item's index block (see ``index_block``). By
     default it hashes the item on every call; a caller that sees the same
-    items again and again can pass a lookup table instead. ``insert``,
-    ``remove`` and ``query`` take flat counter indexes, such as one filter's
-    slice of a block.
+    items again and again can pass a lookup table instead. Each row's
+    ``CountingBloomFilter`` view updates and queries its own counters.
     """
 
     __slots__ = ("seeds", "num_counters", "num_hashes", "block", "_buf", "_flat")
@@ -178,32 +177,6 @@ class FilterBank:
         counts = self._flat.take(block).reshape(len(self.seeds), self.num_hashes)
         return np.minimum.reduce(counts, axis=1).nonzero()[0].tolist()
 
-    def insert(self, indexes: Sequence[int]) -> None:
-        buf = self._buf
-        for idx in indexes:
-            value = buf[idx]
-            if value != 255:
-                buf[idx] = value + 1
-
-    def remove(self, indexes: Sequence[int]) -> None:
-        """Undo one prior insert at these indexes. A counter already at zero
-        means the item was never inserted, which would corrupt the filter."""
-        buf = self._buf
-        for idx in indexes:
-            value = buf[idx]
-            if value == 255:
-                continue
-            if value == 0:
-                raise InvariantError("counter underflow: remove without insert")
-            buf[idx] = value - 1
-
-    def query(self, indexes: Sequence[int]) -> bool:
-        buf = self._buf
-        for idx in indexes:
-            if buf[idx] == 0:
-                return False
-        return True
-
 
 class CountingBloomFilter:
     """Seeded counting Bloom filter over opaque item ids: one row of a
@@ -243,17 +216,34 @@ class CountingBloomFilter:
         item's index block)."""
         if indexes is None:
             indexes = self._indexes(item)
-        self.bank.insert(indexes)
+        buf = self.bank._buf
+        for idx in indexes:
+            value = buf[idx]
+            if value != 255:
+                buf[idx] = value + 1
         return indexes
 
     def remove(self, item, indexes: Sequence[int] | None = None) -> None:
         """Undo one prior insert of this item; raises InvariantError on the
-        cheap-to-detect sign of removing an item never inserted. ``indexes``
-        are what that insert returned."""
-        self.bank.remove(self._indexes(item) if indexes is None else indexes)
+        cheap-to-detect sign of removing an item never inserted, a counter
+        already at zero. ``indexes`` are what that insert returned."""
+        if indexes is None:
+            indexes = self._indexes(item)
+        buf = self.bank._buf
+        for idx in indexes:
+            value = buf[idx]
+            if value == 255:
+                continue
+            if value == 0:
+                raise InvariantError("counter underflow: remove without insert")
+            buf[idx] = value - 1
 
     def query(self, item) -> bool:
-        return self.bank.query(self._indexes(item))
+        buf = self.bank._buf
+        for idx in self._indexes(item):
+            if buf[idx] == 0:
+                return False
+        return True
 
     def __contains__(self, item) -> bool:
         return self.query(item)

@@ -49,6 +49,10 @@ Selection = tuple[DatastoreProfile, ...]
 
 EXHAUSTIVE_MAX_CANDIDATES = 20
 
+# The budget sweep's table has (candidates + 1) x (max budget + 1) cells;
+# pp refuses a context that needs more.
+PP_MAX_TABLE_CELLS = 1 << 24
+
 
 def phi(selection: Iterable[DatastoreProfile], miss_penalty: float) -> float:
     """Expected total cost of a selection (shorthand for expected_cost().total)."""
@@ -56,6 +60,7 @@ def phi(selection: Iterable[DatastoreProfile], miss_penalty: float) -> float:
 
 
 _ID = attrgetter("id")
+_RHO_ID = attrgetter("mis_ratio", "id")
 
 
 def _by_id(profiles: Iterable[DatastoreProfile]) -> Selection:
@@ -123,7 +128,7 @@ class PotentialState:
 
 
 def potential_state(ctx: SelectionContext) -> PotentialState:
-    order = tuple(sorted(ctx.candidates, key=lambda p: (p.mis_ratio, p.id)))
+    order = tuple(sorted(ctx.candidates, key=_RHO_ID))
     asc = sorted(p.access_cost for p in ctx.candidates)
     low = [0.0]
     high = [0.0]
@@ -163,6 +168,30 @@ def _require_integer_costs(ctx: SelectionContext) -> dict:
     return costs
 
 
+def _phi_upper_bound(ctx: SelectionContext) -> float:
+    """The smallest phi among the empty selection, every single store and
+    every prefix of the (misindication, id)-sorted candidates: an upper
+    bound on the optimum's phi, found in one sort."""
+    beta = ctx.miss_penalty
+    if not ctx.candidates:
+        return beta
+    bound = beta
+    access = 0.0
+    miss = 1.0
+    for p in sorted(ctx.candidates, key=_RHO_ID):
+        cost = p.access_cost
+        rho = p.mis_ratio
+        access += cost
+        miss *= rho
+        single = cost + beta * rho
+        prefix = access + beta * miss
+        if single < bound:
+            bound = single
+        if prefix < bound:
+            bound = prefix
+    return bound
+
+
 def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     """Budget sweep: solve a knapsack per access budget, keep the best phi.
 
@@ -172,25 +201,43 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     smallest phi (ties toward the smaller budget). One exact dynamic program
     answers every budget, so the sweep is exact: some budget equals the
     optimum's total cost.
-    Requires integer access costs.
+
+    A set first proposed at budget B costs exactly B (a cheaper one is
+    already the proposal at its own cost), so its phi is at least B. The
+    sweep therefore first stops at the floor of _phi_upper_bound, and runs
+    to the end only when its best phi exceeds that width plus one; the
+    answer is the full sweep's either way.
+    Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells in
+    the (candidates + 1) x (budgets + 1) table.
     """
     int_costs = _require_integer_costs(ctx)
+    max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
+    cells = (len(int_costs) + 1) * (max_budget + 1)
+    if cells > PP_MAX_TABLE_CELLS:
+        raise ValueError(
+            f"budget sweep up to budget {max_budget} over {len(int_costs)} "
+            f"candidates needs {cells} table cells, more than {PP_MAX_TABLE_CELLS}"
+        )
     by_id = {p.id: p for p in ctx.candidates}
     items = [
         KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
         for p in ctx.candidates
     ]
-    max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
-    per_budget = solve_exact_all_budgets(items, max_budget)
-    best: Selection | None = None
-    best_phi = math.inf
-    # Budgets often propose the same set; a repeat can never win the strict
-    # comparison, so each distinct set is scored once, in first-budget order.
-    for chosen_ids in dict.fromkeys(per_budget):
-        sel = _by_id(by_id[i] for i in chosen_ids)
-        value = _phi_by_id(sel, ctx.miss_penalty)
-        if value < best_phi:
-            best, best_phi = sel, value
+    width = min(max_budget, math.floor(_phi_upper_bound(ctx)))
+    for budget in dict.fromkeys((width, max_budget)):
+        per_budget = solve_exact_all_budgets(items, budget)
+        best: Selection | None = None
+        best_phi = math.inf
+        # Budgets often propose the same set; a repeat can never win the
+        # strict comparison, so each distinct set is scored once, in
+        # first-budget order.
+        for chosen_ids in dict.fromkeys(per_budget):
+            sel = _by_id(by_id[i] for i in chosen_ids)
+            value = _phi_by_id(sel, ctx.miss_penalty)
+            if value < best_phi:
+                best, best_phi = sel, value
+        if best_phi <= budget + 1:
+            break
     if best is None:
         raise InvariantError("budget sweep proposed no selection")
     return best
@@ -267,7 +314,7 @@ def merge_candidate_lists(
 
 def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
     """Empty plus every prefix of the misindication-sorted store list."""
-    profiles = sorted(profiles, key=lambda p: (p.mis_ratio, p.id))
+    profiles = sorted(profiles, key=_RHO_ID)
     out = [PGM_EMPTY]
     ids: list = []
     cost = 0.0
@@ -310,16 +357,39 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     union per dyadic cost range. The root candidate with the smallest phi
     wins. Stores costing 2**r or more can never improve a selection (their
     cost alone exceeds the miss penalty) and are ignored.
+
+    A first pass keeps only the ranges below kept = the dyadic range of
+    _phi_upper_bound: it drops the bands and unions that cost 2**kept or
+    more, on the same tree. Each range keeps its best union independently,
+    and a union's parts cost less than it does, so that pass's root is the
+    full root less its candidates costing 2**kept or more. Their phi is at
+    least their cost, so a best phi below 2**kept is final; otherwise the
+    merge runs again over all r ranges.
     """
     if ctx.miss_penalty < 2.0:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
         )
+    if not ctx.candidates:
+        return ()
     num_ranges = math.ceil(math.log2(ctx.miss_penalty))
+    kept = min(num_ranges, _dyadic_range(_phi_upper_bound(ctx)))
+    best = _pgm_pass(ctx, num_ranges, kept)
+    # A candidate's range comes from its cost summed in merge order, phi sums
+    # the same costs in id order; the margin covers the rounding.
+    limit = math.ldexp(1.0 - 1e-12, kept)
+    if kept < num_ranges and _phi_by_id(best, ctx.miss_penalty) >= limit:
+        best = _pgm_pass(ctx, num_ranges, num_ranges)
+    return best
+
+
+def _pgm_pass(ctx: SelectionContext, num_ranges: int, kept: int) -> Selection:
+    """select_pgm's merge tree over num_ranges bands, keeping only the bands
+    and unions that cost less than 2**kept."""
     bands: list[list[DatastoreProfile]] = [[] for _ in range(num_ranges)]
     for p in ctx.candidates:
         j = _dyadic_range(p.access_cost) - 1
-        if j < num_ranges:
+        if j < kept:
             bands[j].append(p)
     # None stands for a subtree of empty bands, whose list is [PGM_EMPTY].
     lists = [_prefix_candidates(band) if band else None for band in bands]
@@ -328,7 +398,7 @@ def select_pgm(ctx: SelectionContext) -> Selection:
         if len(lists) % 2:
             lists.append(None)
         lists = [
-            _merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
+            _merge_subtrees(lists[i], lists[i + 1], kept, leaves)
             for i in range(0, len(lists), 2)
         ]
         leaves = False

@@ -141,6 +141,19 @@ def test_select_fractional_costs_disable_budget_sweep(tmp_path, capsys):
     assert any(l.startswith("opt ") for l in out.strip().split("\n"))
 
 
+def test_select_reports_pp_unavailable_on_a_huge_budget(tmp_path, capsys):
+    ctx = write_context(tmp_path / "ctx.yaml", [(1, 10**12, 0.1)], beta=1e13)
+    code, out, err = run_cli(["select", "--context", ctx], capsys)
+    assert code == 0
+    assert err == ""
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines] == list(STRATEGIES)
+    pp_line = lines[list(STRATEGIES).index("pp")]
+    assert pp_line.startswith(
+        "pp unavailable: budget sweep up to budget 1000000000000 over 1 candidates"
+    )
+
+
 def test_select_reports_every_strategy_in_table_order(tmp_path, capsys):
     stores = [(j, 1 + j % 4, 0.5) for j in range(EXHAUSTIVE_MAX_CANDIDATES + 1)]
     ctx = write_context(tmp_path / "ctx.yaml", stores)

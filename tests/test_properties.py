@@ -1,7 +1,7 @@
-"""Property checks (Hypothesis) for the knapsack sweep, the strategies, the
-counting Bloom filter and its index blocks, the simulator's store ranking,
-the stores' miss-ratio estimator and the topology's widest minimum-hop
-paths.
+"""Property checks (Hypothesis) for the knapsack sweep, the strategies and
+their bound-then-verify passes, the counting Bloom filter and its index
+blocks, the simulator's store ranking, the stores' miss-ratio estimator and
+the topology's widest minimum-hop paths.
 
 The seeded loops in test_knapsack.py and test_strategies.py stay as they
 are; these properties let a failure shrink to a minimal example. The
@@ -13,23 +13,35 @@ import itertools
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import dss.strategies
 from dss.cbf import CountingBloomFilter, _item_bytes, index_block
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
 from dss.datastore import RhoEstimator
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
+    clamped_log_hit_weight,
     solve_exact,
     solve_exact_all_budgets,
 )
 from dss.strategies import (
+    PGM_EMPTY,
     STRATEGIES,
+    _best_by_phi,
+    _by_id,
+    _dyadic_range,
+    _merge_subtrees,
+    _pgm_pass as pgm_pass,
+    _phi_by_id,
+    _prefix_candidates,
+    _require_integer_costs,
     phi,
     potential_state,
     select_dsalg_pp,
@@ -85,6 +97,154 @@ def test_all_budgets_equals_a_solve_per_budget(case):
     assert len(table) == max_budget + 1
     for budget, chosen in enumerate(table):
         assert chosen == solve_exact(KnapsackInstance(budget, items))
+
+
+@given(knapsacks())
+def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
+    items, max_budget = case
+    costs = {it.id: it.cost for it in items}
+    seen = set()
+    for budget, chosen in enumerate(solve_exact_all_budgets(items, max_budget)):
+        if chosen not in seen:
+            seen.add(chosen)
+            assert sum(costs[i] for i in chosen) == budget
+
+
+def reference_pp(ctx):
+    """select_dsalg_pp as it was before its first pass: one sweep over every
+    budget up to min(total cost, floor(beta))."""
+    int_costs = _require_integer_costs(ctx)
+    by_id = {p.id: p for p in ctx.candidates}
+    items = [
+        KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
+        for p in ctx.candidates
+    ]
+    max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
+    best, best_phi = None, math.inf
+    for chosen_ids in dict.fromkeys(solve_exact_all_budgets(items, max_budget)):
+        sel = _by_id(by_id[i] for i in chosen_ids)
+        value = _phi_by_id(sel, ctx.miss_penalty)
+        if value < best_phi:
+            best, best_phi = sel, value
+    return best
+
+
+def reference_pgm(ctx):
+    """select_pgm as it was before its first pass: one merge over every
+    dyadic range below ceil(log2(beta))."""
+    if ctx.miss_penalty < 2.0:
+        raise ValueError(
+            f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
+        )
+    num_ranges = math.ceil(math.log2(ctx.miss_penalty))
+    bands = [[] for _ in range(num_ranges)]
+    for p in ctx.candidates:
+        j = _dyadic_range(p.access_cost) - 1
+        if j < num_ranges:
+            bands[j].append(p)
+    lists = [_prefix_candidates(band) if band else None for band in bands]
+    leaves = True
+    while len(lists) > 1:
+        if len(lists) % 2:
+            lists.append(None)
+        lists = [
+            _merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
+            for i in range(0, len(lists), 2)
+        ]
+        leaves = False
+    by_id = {p.id: p for p in ctx.candidates}
+    root = lists[0] or [PGM_EMPTY]
+    return _best_by_phi([[by_id[i] for i in c.ids] for c in root], ctx.miss_penalty)
+
+
+@st.composite
+def bounded_contexts(draw, integer_costs=True):
+    """Integer costs 1..60 (or fractional ones for pgm), beta from 2 to 1e6,
+    and ratios at 0, 1e-13 and near RHO_MAX as well as in between."""
+    beta = draw(st.one_of(st.sampled_from([2.0, 3.0, 100.0, 1e6]), st.floats(2.0, 1e6)))
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=10))
+    costs = st.integers(1, 60).map(float)
+    if not integer_costs:
+        costs = st.one_of(costs, st.floats(1.0, 60.0))
+    ratios = st.one_of(
+        st.sampled_from([0.0, 1e-13, 0.999999, 1.0 - 2e-12, RHO_MAX]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(ratios)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+def golden_select_contexts():
+    from test_golden import select_contexts
+
+    return [
+        SelectionContext(tuple(DatastoreProfile(*s) for s in stores), beta)
+        for _, beta, stores in select_contexts()
+    ]
+
+
+def outcome(select, ctx):
+    """The selection's ids, or the message of the ValueError it raised."""
+    try:
+        return [p.id for p in select(ctx)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(bounded_contexts())
+def test_pp_equals_the_full_sweep(ctx):
+    assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
+
+
+@given(bounded_contexts(integer_costs=False))
+def test_pgm_equals_the_full_merge(ctx):
+    assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+def test_pp_and_pgm_equal_the_full_passes_on_the_golden_contexts():
+    for ctx in golden_select_contexts():
+        assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
+        assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+def test_a_bound_too_low_forces_both_second_passes():
+    """With the bound at 1.0 the first passes cover budget 1 and range 1.
+    Whenever the answer's phi is at least 2 the second pass must run, and
+    the answer must still be the full pass's."""
+    budgets, passes = [], []
+
+    def solve_spy(items, max_budget):
+        budgets.append(max_budget)
+        return solve_exact_all_budgets(items, max_budget)
+
+    def pass_spy(ctx, num_ranges, kept):
+        passes.append(kept)
+        return pgm_pass(ctx, num_ranges, kept)
+
+    forced = Counter()
+    with mock.patch.object(dss.strategies, "_phi_upper_bound", lambda ctx: 1.0), \
+            mock.patch.object(dss.strategies, "solve_exact_all_budgets", solve_spy), \
+            mock.patch.object(dss.strategies, "_pgm_pass", pass_spy):
+        for ctx in golden_select_contexts():
+            beta = ctx.miss_penalty
+            budgets.clear()
+            want = outcome(reference_pp, ctx)
+            assert outcome(select_dsalg_pp, ctx) == want
+            if isinstance(want, list):
+                max_budget = min(sum(p.access_cost for p in ctx.candidates), math.floor(beta))
+                if max_budget > 1 and phi([p for p in ctx.candidates if p.id in want], beta) > 2:
+                    assert budgets == [1, max_budget]
+                    forced["pp"] += 1
+            if beta < 2.0 or not ctx.candidates:
+                continue
+            passes.clear()
+            want = outcome(reference_pgm, ctx)
+            assert outcome(select_pgm, ctx) == want
+            num_ranges = math.ceil(math.log2(beta))
+            if num_ranges > 1 and phi([p for p in ctx.candidates if p.id in want], beta) >= 2:
+                assert passes == [1, num_ranges]
+                forced["pgm"] += 1
+    assert forced["pp"] >= 10 and forced["pgm"] >= 10, forced
 
 
 @given(contexts())

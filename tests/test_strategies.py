@@ -6,9 +6,11 @@ import random
 import pytest
 
 from dss.core import DatastoreProfile, SelectionContext
+import dss.strategies
 from dss.strategies import (
     EXHAUSTIVE_MAX_CANDIDATES,
     PGM_EMPTY,
+    PP_MAX_TABLE_CELLS,
     STRATEGIES,
     PgmCandidate,
     merge_candidate_lists,
@@ -90,6 +92,35 @@ def test_dsalg_pp_examples():
 def test_dsalg_pp_rejects_fractional_costs():
     with pytest.raises(ValueError):
         select_dsalg_pp(make_ctx([(1, 1.5, 0.2)]))
+
+
+def no_table(items, max_budget):
+    raise AssertionError(f"a table for budget {max_budget} was built")
+
+
+def test_dsalg_pp_refuses_a_huge_budget_before_building_a_table(monkeypatch):
+    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", no_table)
+    with pytest.raises(ValueError, match=r"budget 1000000000000 over 1 candidates"):
+        select_dsalg_pp(make_ctx([(1, 10.0**12, 0.1)], beta=1e13))
+
+
+def test_dsalg_pp_table_limit_is_inclusive(monkeypatch):
+    # One candidate: the table has 2 x (max_budget + 1) cells, and the
+    # budget stops at floor(beta) below the candidate's cost.
+    built = []
+
+    def spy(items, max_budget):
+        built.append(max_budget)
+        raise LookupError("stop before the table")
+
+    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", spy)
+    at_limit = PP_MAX_TABLE_CELLS // 2 - 1
+    with pytest.raises(LookupError):
+        select_dsalg_pp(make_ctx([(1, 2.0**30, 0.5)], beta=float(at_limit)))
+    assert built == [at_limit]
+    with pytest.raises(ValueError, match=f"budget {at_limit + 1} over 1 candidates"):
+        select_dsalg_pp(make_ctx([(1, 2.0**30, 0.5)], beta=float(at_limit + 1)))
+    assert built == [at_limit]
 
 
 def test_dsalg_knap_examples():
