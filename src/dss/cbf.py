@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,21 +127,14 @@ class FilterBank:
     """Counting Bloom filters of equal size, one per seed, as the rows of one
     uint8 counter buffer.
 
-    ``block(item)`` gives the item's index block (see ``index_block``). By
-    default it hashes the item on every call; a caller that sees the same
-    items again and again can pass a lookup table instead. Each row's
-    ``CountingBloomFilter`` view updates and queries its own counters.
+    ``block(item)`` hashes the item to its index block (see
+    ``index_block``). Each row's ``CountingBloomFilter`` view updates and
+    queries its own counters.
     """
 
-    __slots__ = ("seeds", "num_counters", "num_hashes", "block", "_buf", "_flat")
+    __slots__ = ("seeds", "num_counters", "num_hashes", "_buf", "_flat")
 
-    def __init__(
-        self,
-        seeds: Sequence[int],
-        num_counters: int,
-        num_hashes: int = 5,
-        block: Callable[[object], np.ndarray] | None = None,
-    ):
+    def __init__(self, seeds: Sequence[int], num_counters: int, num_hashes: int = 5):
         if not seeds:
             raise ValueError("a filter bank needs at least one seed")
         if num_counters < 1:
@@ -151,13 +144,14 @@ class FilterBank:
         self.seeds = tuple(s & _MASK64 for s in seeds)
         self.num_counters = num_counters
         self.num_hashes = num_hashes
-        self.block = block or functools.partial(
-            index_block, seeds=self.seeds, num_counters=num_counters, num_hashes=num_hashes
-        )
         # Python-level updates go through the bytearray, gathers through the
         # numpy view of the same memory.
         self._buf = bytearray(len(self.seeds) * num_counters)
         self._flat = np.frombuffer(self._buf, dtype=np.uint8)
+
+    def block(self, item) -> np.ndarray:
+        """The item's index block in this bank."""
+        return index_block(item, self.seeds, self.num_counters, self.num_hashes)
 
     @property
     def counters(self) -> np.ndarray:

@@ -4,7 +4,8 @@ Subcommands:
 
 - ``analyze``: sweep the homogeneous closed forms over hit ratios, CSV out.
 - ``select``: run every selection strategy once on a context file.
-- ``simulate``: one trace-driven run (plus its ground-truth normalizer).
+- ``simulate``: a one-strategy ``bench``: one run, normalized by its
+  ground-truth baseline.
 - ``bench``: a strategy x beta x k x seed grid, CSV plus Markdown summary.
 
 Exit codes: 0 success, 1 usage error, 2 input-data error, 3 internal error.
@@ -13,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 input-data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from . import fileio
@@ -20,12 +22,10 @@ from .core import DatastoreProfile, InvariantError, SelectionContext, expected_c
 from .homogeneous import hit_grid, homogeneous_sweep, write_sweep_csv
 from .sim import (
     DEFAULT_BENCH_STRATEGIES,
-    SimConfig,
     markdown_summary,
     metrics_csv,
     resolve_strategy,
     run_grid,
-    run_with_baseline,
 )
 from .strategies import STRATEGIES
 from .workload import zipf_trace
@@ -118,13 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_analyze(args) -> int:
     points = homogeneous_sweep(args.n, args.fpr, args.beta, hit_grid(args.hit_step))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_sweep_csv(points, fh)
-    else:
-        write_sweep_csv(points, sys.stdout)
+    out = io.StringIO()
+    write_sweep_csv(points, out)
+    _write(out.getvalue(), args.out)
     return 0
 
 
@@ -135,8 +142,14 @@ def _load_context(path: str, beta_override: float | None) -> SelectionContext:
     top = fileio.as_mapping(root, path, "context document")
     beta_node = fileio.require(top, "beta", root, path, "context document")
     beta = fileio.as_float(beta_node, path, "beta")
+    beta_line = fileio.line_of(beta_node)
+    if beta_override is not None:
+        beta, beta_line = beta_override, None
+    try:
+        ctx = SelectionContext((), beta)
+    except ValueError as exc:
+        raise fileio.FileFormatError(path, beta_line, str(exc)) from exc
     stores_node = fileio.require(top, "stores", root, path, "context document")
-    profiles = []
     for item in fileio.as_sequence(stores_node, path, "stores"):
         fields = fileio.as_mapping(item, path, "store")
         store_id = fileio.as_int(
@@ -145,16 +158,14 @@ def _load_context(path: str, beta_override: float | None) -> SelectionContext:
             fileio.require(fields, "cost", item, path, "store"), path, "store cost")
         rho = fileio.as_float(
             fileio.require(fields, "rho", item, path, "store"), path, "store rho")
+        # Each store joins the context of the stores before it, so an error
+        # names the line of the first store that breaks a rule.
         try:
-            profiles.append(DatastoreProfile(store_id, cost, rho))
+            profile = DatastoreProfile(store_id, cost, rho)
+            ctx = SelectionContext(ctx.candidates + (profile,), beta)
         except ValueError as exc:
-            raise fileio.FileFormatError(path, None, str(exc)) from exc
-    if beta_override is not None:
-        beta = beta_override
-    try:
-        return SelectionContext(tuple(profiles), beta)
-    except ValueError as exc:
-        raise fileio.FileFormatError(path, None, str(exc)) from exc
+            raise fileio.FileFormatError(path, fileio.line_of(item), str(exc)) from exc
+    return ctx
 
 
 def _cmd_select(args) -> int:
@@ -171,61 +182,28 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _sim_inputs(args):
-    topology = args.topology  # None -> bundled default
-    if args.trace is not None:
-        trace = args.trace
-    else:
+def _grid(args, strategies, betas, ks, seeds) -> list:
+    """run_grid over the trace file, or a synthetic Zipf trace without one."""
+    trace = args.trace
+    if trace is None:
         trace = zipf_trace(
             args.synth_requests, args.synth_catalog, args.synth_skew, args.synth_seed
         )
-    return topology, trace
+    return run_grid(strategies, betas, ks, seeds, args.topology, trace,
+                    args.store_size, args.target_fpr, args.alpha, args.big_t)
 
 
 def _cmd_simulate(args) -> int:
-    topology, trace = _sim_inputs(args)
-    config = SimConfig(
-        strategy=args.strategy,
-        miss_penalty=args.beta,
-        locations_per_item=args.k,
-        store_capacity=args.store_size,
-        target_fpr=args.target_fpr,
-        alpha=args.alpha,
-        big_t=args.big_t,
-        seed=args.seed,
-    )
-    metrics, _ = run_with_baseline(config, topology, trace)
-    csv_text = metrics_csv([metrics])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    rows = _grid(args, [args.strategy], [args.beta], [args.k], [args.seed])
+    _write(metrics_csv(rows), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    topology, trace = _sim_inputs(args)
-    rows = run_grid(
-        strategies=args.strategies,
-        betas=args.betas,
-        ks=args.ks,
-        seeds=args.seeds,
-        topology=topology,
-        trace=trace,
-        store_capacity=args.store_size,
-        target_fpr=args.target_fpr,
-        alpha=args.alpha,
-        big_t=args.big_t,
-    )
-    csv_text = metrics_csv(rows)
+    rows = _grid(args, args.strategies, args.betas, args.ks, args.seeds)
+    _write(metrics_csv(rows), args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".md", "w", encoding="utf-8") as fh:
-            fh.write(markdown_summary(rows))
-    else:
-        sys.stdout.write(csv_text)
+        _write(markdown_summary(rows), args.out + ".md")
     return 0
 
 

@@ -21,7 +21,8 @@ class FileFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _line(node: Node) -> int:
+def line_of(node: Node) -> int:
+    """The node's 1-based line in its file."""
     return node.start_mark.line + 1
 
 
@@ -40,26 +41,26 @@ def parse_document(text: str, path: str) -> Node:
 
 def as_mapping(node: Node, path: str, what: str) -> dict[str, Node]:
     if not isinstance(node, MappingNode):
-        raise FileFormatError(path, _line(node), f"{what} must be a mapping")
+        raise FileFormatError(path, line_of(node), f"{what} must be a mapping")
     out = {}
     for key_node, value_node in node.value:
         if not isinstance(key_node, ScalarNode):
-            raise FileFormatError(path, _line(key_node), f"{what} keys must be scalars")
+            raise FileFormatError(path, line_of(key_node), f"{what} keys must be scalars")
         if key_node.value in out:
-            raise FileFormatError(path, _line(key_node), f"duplicate key {key_node.value!r}")
+            raise FileFormatError(path, line_of(key_node), f"duplicate key {key_node.value!r}")
         out[key_node.value] = value_node
     return out
 
 
 def as_sequence(node: Node, path: str, what: str) -> list[Node]:
     if not isinstance(node, SequenceNode):
-        raise FileFormatError(path, _line(node), f"{what} must be a sequence")
+        raise FileFormatError(path, line_of(node), f"{what} must be a sequence")
     return node.value
 
 
 def as_str(node: Node, path: str, what: str) -> str:
     if not isinstance(node, ScalarNode):
-        raise FileFormatError(path, _line(node), f"{what} must be a scalar")
+        raise FileFormatError(path, line_of(node), f"{what} must be a scalar")
     return str(node.value)
 
 
@@ -68,7 +69,7 @@ def as_float(node: Node, path: str, what: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise FileFormatError(path, _line(node), f"{what} must be a number, got {raw!r}") from None
+        raise FileFormatError(path, line_of(node), f"{what} must be a number, got {raw!r}") from None
 
 
 def as_int(node: Node, path: str, what: str) -> int:
@@ -76,10 +77,10 @@ def as_int(node: Node, path: str, what: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise FileFormatError(path, _line(node), f"{what} must be an integer, got {raw!r}") from None
+        raise FileFormatError(path, line_of(node), f"{what} must be an integer, got {raw!r}") from None
 
 
 def require(mapping: dict[str, Node], key: str, node: Node, path: str, what: str) -> Node:
     if key not in mapping:
-        raise FileFormatError(path, _line(node), f"{what} is missing required key {key!r}")
+        raise FileFormatError(path, line_of(node), f"{what} is missing required key {key!r}")
     return mapping[key]

@@ -121,7 +121,8 @@ def solve_exact_all_budgets(
     built at max_budget answers every smaller budget identically to a
     dedicated solve. The reconstruction walks the items once for all
     budgets together, making _reconstruct's two tests per budget on the
-    same table sums, and budgets that choose the same ids share one set.
+    same table sums, and a run of budgets that choose the same ids shares
+    one set.
     """
     if max_budget < 0:
         raise ValueError(f"max_budget must be >= 0, got {max_budget}")
@@ -139,9 +140,13 @@ def solve_exact_all_budgets(
         taken[i] = take
         remaining = np.where(take, left, remaining)
     ids = [it.id for it in ordered]
-    columns = list(map(tuple, taken.T.tolist()))
-    sets = {col: frozenset(compress(ids, col)) for col in dict.fromkeys(columns)}
-    return [sets[col] for col in columns]
+    # Budgets in a run of equal columns share one set.
+    starts = np.flatnonzero((taken[:, 1:] != taken[:, :-1]).any(axis=0)) + 1
+    bounds = [0, *starts.tolist(), max_budget + 1]
+    sets = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sets += [frozenset(compress(ids, taken[:, lo].tolist()))] * (hi - lo)
+    return sets
 
 
 def solve_greedy2(instance: KnapsackInstance) -> frozenset:

@@ -92,6 +92,10 @@ class SimConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.strategy != GROUND_TRUTH_STRATEGY:
+            # A selector that refuses this miss penalty refuses the empty
+            # context too, so the refusal comes before any run.
+            STRATEGIES[self.strategy](SelectionContext((), self.miss_penalty))
 
 
 @dataclass
@@ -178,14 +182,6 @@ class _ItemHashes:
         self._ranks: list[np.ndarray] = []
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
-    def bank(self) -> FilterBank:
-        """An empty filter bank, one row per store, that reads its index
-        blocks from this table."""
-        return FilterBank(self.filter_seeds, self.num_counters, NUM_HASHES, block=self.block)
-
-    def block(self, item) -> np.ndarray:
-        return self.row(item)[0]
-
     def row(self, item) -> tuple[np.ndarray, np.ndarray]:
         """The item's index block and store ranking (views into the table)."""
         row = self._rows.get(item)
@@ -254,7 +250,7 @@ def run(
         )
     shared = _shared or _make_shared(config, topo)
     hashes = shared.hashes
-    bank = hashes.bank()
+    bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
     stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
     strategy = None if ground_truth else STRATEGIES[config.strategy]
@@ -352,12 +348,10 @@ def run_grid(
 ) -> list[SimMetrics]:
     """Benchmark grid. The ground-truth baseline runs once per
     (beta, k, seed) cell and normalizes every strategy in that cell. The
-    cells of a seed share one cost matrix and one item-hash table."""
-    topo = _as_topology(topology)
-    items = _as_trace(trace)
+    cells of a seed share one cost matrix and one item-hash table. Every
+    cell's configs are built, and so checked, before the first run."""
     names = [resolve_strategy(s) for s in strategies]
-    shared: dict[int, _Shared] = {}
-    rows = []
+    cells = []
     for beta in betas:
         for k in ks:
             for seed in seeds:
@@ -371,18 +365,24 @@ def run_grid(
                     big_t=big_t,
                     seed=seed,
                 )
-                if seed not in shared:
-                    shared[seed] = _make_shared(cell, topo)
-                baseline = run(cell, topo, items, _shared=shared[seed])
-                baseline.normalize_against(baseline.total_cost)
-                for name in names:
-                    if name == GROUND_TRUTH_STRATEGY:
-                        rows.append(baseline)
-                        continue
-                    metrics = run(dataclasses.replace(cell, strategy=name), topo, items,
-                                  _shared=shared[seed])
-                    metrics.normalize_against(baseline.total_cost)
-                    rows.append(metrics)
+                configs = [dataclasses.replace(cell, strategy=name) for name in names]
+                cells.append((cell, configs))
+    topo = _as_topology(topology)
+    items = _as_trace(trace)
+    shared: dict[int, _Shared] = {}
+    rows = []
+    for cell, configs in cells:
+        if cell.seed not in shared:
+            shared[cell.seed] = _make_shared(cell, topo)
+        baseline = run(cell, topo, items, _shared=shared[cell.seed])
+        baseline.normalize_against(baseline.total_cost)
+        for config in configs:
+            if config.strategy == GROUND_TRUTH_STRATEGY:
+                rows.append(baseline)
+                continue
+            metrics = run(config, topo, items, _shared=shared[cell.seed])
+            metrics.normalize_against(baseline.total_cost)
+            rows.append(metrics)
     return rows
 
 

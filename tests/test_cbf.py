@@ -191,21 +191,3 @@ def test_bank_rows_behave_like_standalone_filters():
         assert bank.positives(bank.block(item)) == expected
     with pytest.raises(IndexError):
         bank.filter(3)
-
-
-def test_bank_uses_the_block_it_is_given():
-    # A lookup table standing in for hashing sees every insert, remove and query.
-    seen = []
-    plain = FilterBank((5, 6), 50, 3)
-
-    def lookup(item):
-        seen.append(item)
-        return plain.block(item)
-
-    bank = FilterBank((5, 6), 50, 3, block=lookup)
-    f = bank.filter(1)
-    f.insert("a")
-    assert f.query("a") and "a" in f
-    f.remove("a")
-    assert seen == ["a", "a", "a", "a"]
-    assert sum(bank.counters.ravel()) == 0

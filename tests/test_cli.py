@@ -178,6 +178,37 @@ def test_select_bad_context_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def _two_stores(second):
+    return f"beta: 100\nstores:\n  - {{id: 1, cost: 2, rho: 0.5}}\n  - {{{second}}}\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("beta: 100\nstores: [1, 2\n", 3, "syntax error"),
+    ("", None, "empty document"),
+    ("- 1\n- 2\n", 1, "context document must be a mapping"),
+    ("beta: 100\n[a]: 1\nstores: []\n", 2, "keys must be scalars"),
+    ("beta: 100\nbeta: 5\nstores: []\n", 2, "duplicate key 'beta'"),
+    ("beta: 100\nstores:\n  id: 1\n", 3, "stores must be a sequence"),
+    ("beta: abc\nstores: []\n", 1, "beta must be a number"),
+    (_two_stores("id: 1.5, cost: 2, rho: 0.5"), 4, "store id must be an integer"),
+    (_two_stores("id: 2, cost: .inf, rho: 0.5"), 4, "store cost must be a number"),
+    (_two_stores("id: 2, cost: inf, rho: 0.5"), 4, "access_cost must be finite"),
+    (_two_stores("id: 2, cost: 0.5, rho: 0.5"), 4, "normalized to >= 1"),
+    (_two_stores("id: 2, cost: 2, rho: 1.0"), 4, "mis_ratio must lie in [0, 1)"),
+    (_two_stores("id: 1, cost: 3, rho: 0.5"), 4, "ids must be distinct"),
+], ids=["syntax", "empty", "sequence", "key-not-scalar", "duplicate-key", "stores-mapping",
+        "beta-abc", "id-1.5", "cost-.inf", "cost-inf", "cost-0.5", "rho-1.0", "duplicate-id"])
+def test_select_malformed_context_names_its_line(text, line, message, tmp_path, capsys):
+    path = tmp_path / "ctx.yaml"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["select", "--context", os.fspath(path)], capsys)
+    where = os.fspath(path) if line is None else f"{path}:{line}"
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"dss: error: {where}: ")
+    assert message in err
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in [
         [],

@@ -97,15 +97,16 @@ def test_lru_eviction_order():
     assert store.indicator.query("a")
 
 
-def test_eviction_uncounts_without_hashing_again():
+def test_eviction_uncounts_without_hashing_again(monkeypatch):
     seen = []
-    plain = FilterBank((3,), 64, 4)
+    real = FilterBank.block
 
-    def lookup(item):
+    def lookup(bank, item):
         seen.append(item)
-        return plain.block(item)
+        return real(bank, item)
 
-    store = Datastore(0, 1, FilterBank((3,), 64, 4, block=lookup).filter(0))
+    monkeypatch.setattr(FilterBank, "block", lookup)
+    store = Datastore(0, 1, FilterBank((3,), 64, 4).filter(0))
     store.insert("a")
     assert store.insert("b") == "a"
     assert seen == ["a", "b"]  # the eviction of "a" used the indexes kept at insert
@@ -114,13 +115,14 @@ def test_eviction_uncounts_without_hashing_again():
     assert bytes(store.indicator.counters) == bytes(only_b.counters)
 
 
-def test_evicting_insert_counts_the_new_item_under_its_own_indexes():
+def test_evicting_insert_counts_the_new_item_under_its_own_indexes(monkeypatch):
     # Given indexes replace the lookup; the evicted item leaves under the
     # indexes kept at its own insert.
-    def no_lookup(item):
+    def no_lookup(bank, item):
         raise AssertionError(f"looked {item!r} up")
 
-    store = Datastore(0, 1, FilterBank((3,), 64, 4, block=no_lookup).filter(0))
+    monkeypatch.setattr(FilterBank, "block", no_lookup)
+    store = Datastore(0, 1, FilterBank((3,), 64, 4).filter(0))
     assert store.insert("a", [1, 2, 3, 4]) is None
     assert store.insert("b", [5, 6, 7, 9]) == "a"
     counters = bytes(store.indicator.counters)

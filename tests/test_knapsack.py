@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -141,3 +142,16 @@ def test_all_budgets_matches_per_budget_solves():
         assert len(table) == max_budget + 1
         for budget, got in enumerate(table):
             assert got == solve_exact(KnapsackInstance(budget, items))
+
+
+def test_all_budgets_memory_is_set_by_the_table_not_per_budget_objects():
+    # One item at 2**18 budgets: a table of a few MiB. One Python object per
+    # budget would take about 43 MiB.
+    tracemalloc.start()
+    try:
+        table = solve_exact_all_budgets([KnapsackItem(1, 1.0, 3)], 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[2] == frozenset() and table[3] == table[-1] == frozenset({1})
+    assert peak < 24 * 2**20

@@ -46,12 +46,28 @@ def test_sim_config_validation():
         SimConfig(strategy="cpi", target_fpr=0.0)
     with pytest.raises(ValueError):
         SimConfig(strategy="cpi", alpha=1.2)
+    # The strategy's own precondition on beta, checked before any run.
+    with pytest.raises(ValueError, match="miss_penalty >= 2"):
+        SimConfig(strategy="pgm", miss_penalty=1.5)
+    SimConfig(strategy="pgm", miss_penalty=2.0)
+    SimConfig(strategy="pi", miss_penalty=1.5)
 
 
 def test_sim_config_rejects_non_finite_miss_penalty():
     for beta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(strategy="pi", miss_penalty=beta)
+
+
+def test_grid_checks_every_cell_before_the_first_run(monkeypatch):
+    import dss.sim
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(dss.sim, "run", no_run)
+    with pytest.raises(ValueError, match="miss_penalty >= 2"):
+        run_grid(["cpi", "pgm"], [100.0, 1.5], [1, 5], [0], trace=zipf_trace(50, 20, seed=1))
 
 
 def test_sim_config_rejects_negative_seed():
@@ -401,7 +417,7 @@ def test_item_hash_state_is_compact():
 
     hashes = dss.sim._ItemHashes(seed=1, n_stores=19, num_counters=8181)
     for item in range(3000):
-        hashes.block(item)
+        hashes.row(item)
     rows = 3 * dss.sim._CHUNK_ROWS
     assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= 400
     for item in (0, 1500, 2999):  # a row in every chunk
