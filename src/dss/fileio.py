@@ -64,10 +64,17 @@ def as_str(node: Node, path: str, what: str) -> str:
     return str(node.value)
 
 
+# YAML's spellings of the non-finite floats, which float() refuses.
+_YAML_NON_FINITE = {
+    f"{sign}.{word}": f"{sign}inf" for sign in ("", "+", "-") for word in ("inf", "Inf", "INF")
+} | {f".{word}": "nan" for word in ("nan", "NaN", "NAN")}
+
+
 def as_float(node: Node, path: str, what: str) -> float:
+    """The scalar as a float; YAML's .inf, -.inf and .nan included."""
     raw = as_str(node, path, what)
     try:
-        return float(raw)
+        return float(_YAML_NON_FINITE.get(raw, raw))
     except ValueError:
         raise FileFormatError(path, line_of(node), f"{what} must be a number, got {raw!r}") from None
 

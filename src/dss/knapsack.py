@@ -119,30 +119,37 @@ def solve_exact_all_budgets(
 
     Table cell (i, b) never depends on cells with larger b, so the table
     built at max_budget answers every smaller budget identically to a
-    dedicated solve. The reconstruction walks the items once for all
-    budgets together, making _reconstruct's two tests per budget on the
-    same table sums, and a run of budgets that choose the same ids shares
-    one set.
+    dedicated solve. While each suffix row is built, decide[i, b] records
+    _reconstruct's take test at item i and budget b, on the same float
+    sums: the item fits, an optimal completion goes through it, and the
+    row is not 0 there. The walk then follows those decisions for all
+    budgets together. Once a row reads 0 at a walk's remaining budget,
+    every later row does too, so the walk needs no stop of its own. A run
+    of budgets that choose the same ids shares one set.
     """
     if max_budget < 0:
         raise ValueError(f"max_budget must be >= 0, got {max_budget}")
     ordered = sorted(items, key=lambda it: it.id)
-    rows = _suffix_table(ordered, max_budget)
-    remaining = np.arange(max_budget + 1)
-    active = np.ones(max_budget + 1, dtype=bool)
-    taken = np.zeros((len(ordered), max_budget + 1), dtype=bool)
+    width = max_budget + 1
+    decide = np.zeros((len(ordered), width), dtype=bool)
+    row = np.zeros(width)
+    for i in range(len(ordered) - 1, -1, -1):
+        c, w = ordered[i].cost, ordered[i].profit
+        if c > max_budget:
+            continue
+        take = row[: width - c] + w
+        nxt, row = row, row.copy()
+        np.maximum(nxt[c:], take, out=row[c:])
+        decide[i, c:] = (take == row[c:]) & (row[c:] != 0.0)
+    remaining = np.arange(width)
+    taken = np.empty_like(decide)
     for i, item in enumerate(ordered):
-        need = rows[i][remaining]
-        active &= need != 0.0
-        left = remaining - item.cost
-        take = active & (left >= 0)
-        take &= item.profit + rows[i + 1][np.maximum(left, 0)] == need
-        taken[i] = take
-        remaining = np.where(take, left, remaining)
+        decide[i].take(remaining, out=taken[i])
+        np.subtract(remaining, item.cost, out=remaining, where=taken[i])
     ids = [it.id for it in ordered]
     # Budgets in a run of equal columns share one set.
     starts = np.flatnonzero((taken[:, 1:] != taken[:, :-1]).any(axis=0)) + 1
-    bounds = [0, *starts.tolist(), max_budget + 1]
+    bounds = [0, *starts.tolist(), width]
     sets = []
     for lo, hi in zip(bounds, bounds[1:]):
         sets += [frozenset(compress(ids, taken[:, lo].tolist()))] * (hi - lo)

@@ -408,9 +408,8 @@ def _pgm_pass(ctx: SelectionContext, num_ranges: int, kept: int) -> Selection:
     return _best_by_phi(proposals, ctx.miss_penalty)
 
 
-def _mask_bits(n_bits: int, count: int, offset: int) -> np.ndarray:
-    masks = np.arange(offset, offset + count, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n_bits, dtype=np.uint32)) & 1).astype(bool)
+# select_exhaustive builds the sums of at most 2**16 subsets at a time.
+_EXHAUSTIVE_LOW_BITS = 16
 
 
 def select_exhaustive(ctx: SelectionContext) -> Selection:
@@ -418,6 +417,14 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
 
     Guarded to at most EXHAUSTIVE_MAX_CANDIDATES candidates. Ties prefer
     fewer stores, then lexicographically smaller id tuples.
+
+    Subset mask m takes store j (in id order) when bit j of m is set. The
+    access sums and miss products of every subset of the first (up to) 16
+    stores are built by doubling: the second half of the arrays is the
+    first half plus the next store. Each pattern of the remaining high bits
+    then adds its stores to those arrays. Every subset is thus folded in id
+    order, as expected_cost folds it, so each value equals its phi bit for
+    bit.
     """
     n = ctx.n_positive
     if n > EXHAUSTIVE_MAX_CANDIDATES:
@@ -428,22 +435,28 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
     if n == 0:
         return ()
     ordered = _by_id(ctx.candidates)
-    costs = np.array([p.access_cost for p in ordered])
-    ratios = np.array([p.mis_ratio for p in ordered])
-    chunk = 1 << 16
+    low_bits = min(n, _EXHAUSTIVE_LOW_BITS)
+    low_access = np.zeros(1 << low_bits)
+    low_miss = np.ones(1 << low_bits)
+    for j, p in enumerate(ordered[:low_bits]):
+        half = 1 << j
+        np.add(low_access[:half], p.access_cost, out=low_access[half : 2 * half])
+        np.multiply(low_miss[:half], p.mis_ratio, out=low_miss[half : 2 * half])
+    high = ordered[low_bits:]
     best_mask = 0
     best_key: tuple | None = None
-    for offset in range(0, 1 << n, chunk):
-        count = min(chunk, (1 << n) - offset)
-        bits = _mask_bits(n, count, offset)
-        access = np.where(bits, costs, 0.0).sum(axis=1)
-        miss = np.where(bits, ratios, 1.0).prod(axis=1)
+    for pattern in range(1 << len(high)):
+        access, miss = low_access, low_miss
+        for j, p in enumerate(high):
+            if pattern >> j & 1:
+                access = access + p.access_cost
+                miss = miss * p.mis_ratio
         values = access + ctx.miss_penalty * miss
-        low = values.min()
-        for i in np.flatnonzero(values == low):
-            mask = offset + int(i)
+        least = values.min()
+        for i in np.flatnonzero(values == least):
+            mask = pattern << low_bits | int(i)
             ids = tuple(ordered[j].id for j in range(n) if mask >> j & 1)
-            key = (low, len(ids), ids)
+            key = (least, len(ids), ids)
             if best_key is None or key < best_key:
                 best_mask, best_key = mask, key
     return tuple(ordered[j] for j in range(n) if best_mask >> j & 1)

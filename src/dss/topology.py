@@ -48,33 +48,39 @@ class Topology:
         object.__setattr__(self, "edges", tuple(self.edges))
         if not self.nodes:
             raise ValueError("topology needs at least one node")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("node ids must be distinct")
-        known = set(self.nodes)
-        seen_pairs = set()
-        adjacency: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
+        adjacency: dict[str, dict[str, float]] = {}
+        for node in self.nodes:
+            _add_node(adjacency, node)
         for e in self.edges:
-            if e.a not in known or e.b not in known:
-                raise ValueError(f"edge {e.a}-{e.b} references an unknown node")
-            if e.a == e.b:
-                raise ValueError(f"self-loop on node {e.a}")
-            pair = frozenset((e.a, e.b))
-            if pair in seen_pairs:
-                raise ValueError(f"duplicate edge {e.a}-{e.b}")
-            seen_pairs.add(pair)
-            if not (math.isfinite(e.bandwidth) and e.bandwidth > 0):
-                raise ValueError(f"edge {e.a}-{e.b} bandwidth must be positive")
-            adjacency[e.a][e.b] = e.bandwidth
-            adjacency[e.b][e.a] = e.bandwidth
+            _add_edge(adjacency, e)
         object.__setattr__(self, "_adjacency", adjacency)
         reached = _widest_min_hop(adjacency, self.nodes[0])
         if len(reached) != len(self.nodes):
-            missing = sorted(known - reached.keys())
+            missing = sorted(adjacency.keys() - reached.keys())
             raise ValueError(f"topology is not connected; unreachable: {missing}")
 
     @property
     def adjacency(self) -> dict[str, dict[str, float]]:
         return getattr(self, "_adjacency")
+
+
+def _add_node(adjacency: dict[str, dict[str, float]], node: str) -> None:
+    if node in adjacency:
+        raise ValueError(f"node ids must be distinct; {node!r} repeats")
+    adjacency[node] = {}
+
+
+def _add_edge(adjacency: dict[str, dict[str, float]], e: Edge) -> None:
+    if e.a not in adjacency or e.b not in adjacency:
+        raise ValueError(f"edge {e.a}-{e.b} references an unknown node")
+    if e.a == e.b:
+        raise ValueError(f"self-loop on node {e.a}")
+    if e.b in adjacency[e.a]:
+        raise ValueError(f"duplicate edge {e.a}-{e.b}")
+    if not (math.isfinite(e.bandwidth) and e.bandwidth > 0):
+        raise ValueError(f"edge {e.a}-{e.b} bandwidth must be positive")
+    adjacency[e.a][e.b] = e.bandwidth
+    adjacency[e.b][e.a] = e.bandwidth
 
 
 def _widest_min_hop(
@@ -150,10 +156,16 @@ def parse_topology(text: str, path: str = "<topology>") -> Topology:
     top = fileio.as_mapping(root, path, "topology document")
     nodes_node = fileio.require(top, "nodes", root, path, "topology document")
     edges_node = fileio.require(top, "edges", root, path, "topology document")
-    nodes = [
-        fileio.as_str(item, path, "node id")
-        for item in fileio.as_sequence(nodes_node, path, "nodes")
-    ]
+    # The file is checked node by node and edge by edge, as Topology checks
+    # it, so that an error names its line; Topology then adds the checks
+    # that need the whole graph.
+    adjacency: dict[str, dict[str, float]] = {}
+    for item in fileio.as_sequence(nodes_node, path, "nodes"):
+        node = fileio.as_str(item, path, "node id")
+        try:
+            _add_node(adjacency, node)
+        except ValueError as exc:
+            raise fileio.FileFormatError(path, fileio.line_of(item), str(exc)) from exc
     edges = []
     for item in fileio.as_sequence(edges_node, path, "edges"):
         fields = fileio.as_mapping(item, path, "edge")
@@ -161,8 +173,12 @@ def parse_topology(text: str, path: str = "<topology>") -> Topology:
         b = fileio.as_str(fileio.require(fields, "b", item, path, "edge"), path, "edge endpoint b")
         bw = fileio.as_float(fileio.require(fields, "bw", item, path, "edge"), path, "edge bw")
         edges.append(Edge(a, b, bw))
+        try:
+            _add_edge(adjacency, edges[-1])
+        except ValueError as exc:
+            raise fileio.FileFormatError(path, fileio.line_of(item), str(exc)) from exc
     try:
-        return Topology(tuple(nodes), tuple(edges))
+        return Topology(tuple(adjacency), tuple(edges))
     except ValueError as exc:
         raise fileio.FileFormatError(path, None, str(exc)) from exc
 

@@ -191,13 +191,17 @@ def _two_stores(second):
     ("beta: 100\nstores:\n  id: 1\n", 3, "stores must be a sequence"),
     ("beta: abc\nstores: []\n", 1, "beta must be a number"),
     (_two_stores("id: 1.5, cost: 2, rho: 0.5"), 4, "store id must be an integer"),
-    (_two_stores("id: 2, cost: .inf, rho: 0.5"), 4, "store cost must be a number"),
+    ("beta: .inf\nstores: []\n", 1, "miss_penalty must be finite"),
+    (_two_stores("id: 2, cost: .inf, rho: 0.5"), 4, "access_cost must be finite"),
+    (_two_stores("id: 2, cost: -.inf, rho: 0.5"), 4, "access_cost must be finite"),
     (_two_stores("id: 2, cost: inf, rho: 0.5"), 4, "access_cost must be finite"),
     (_two_stores("id: 2, cost: 0.5, rho: 0.5"), 4, "normalized to >= 1"),
     (_two_stores("id: 2, cost: 2, rho: 1.0"), 4, "mis_ratio must lie in [0, 1)"),
+    (_two_stores("id: 2, cost: 2, rho: .NaN"), 4, "mis_ratio must lie in [0, 1)"),
     (_two_stores("id: 1, cost: 3, rho: 0.5"), 4, "ids must be distinct"),
 ], ids=["syntax", "empty", "sequence", "key-not-scalar", "duplicate-key", "stores-mapping",
-        "beta-abc", "id-1.5", "cost-.inf", "cost-inf", "cost-0.5", "rho-1.0", "duplicate-id"])
+        "beta-abc", "id-1.5", "beta-.inf", "cost-.inf", "cost--.inf", "cost-inf", "cost-0.5",
+        "rho-1.0", "rho-.NaN", "duplicate-id"])
 def test_select_malformed_context_names_its_line(text, line, message, tmp_path, capsys):
     path = tmp_path / "ctx.yaml"
     path.write_text(text, encoding="utf-8")
@@ -318,6 +322,35 @@ def test_simulate_accepts_trace_and_topology_files(tmp_path, capsys):
     assert code == 0
     (row,) = parse_csv(out)
     assert int(row["requests"]) == 4
+
+
+def _topology(edges, nodes="nodes:\n  - a\n  - b\n  - c\n"):
+    return nodes + "edges:\n" + "".join(f"  - {{{edge}}}\n" for edge in edges)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_topology(["a: a, b: b, bw: 1"], "nodes:\n  - a\n  - b\n  - a\n"), 4,
+     "node ids must be distinct; 'a' repeats"),
+    (_topology(["a: a, b: b, bw: 1", "a: b, b: d, bw: 1"]), 7, "edge b-d references an unknown node"),
+    (_topology(["a: a, b: b, bw: 1", "a: c, b: c, bw: 1"]), 7, "self-loop on node c"),
+    (_topology(["a: a, b: b, bw: 1", "a: b, b: c, bw: 2", "a: c, b: b, bw: 3"]), 8,
+     "duplicate edge c-b"),
+    (_topology(["a: a, b: b, bw: 1", "a: b, b: c, bw: 0"]), 7, "bandwidth must be positive"),
+    (_topology(["a: a, b: b, bw: -.inf", "a: b, b: c, bw: 1"]), 6, "bandwidth must be positive"),
+    (_topology(["a: a, b: b, bw: 1"]), None, "topology is not connected"),
+], ids=["repeated-node", "unknown-endpoint", "self-loop", "duplicate-edge", "bw-0", "bw--.inf",
+        "disconnected"])
+def test_simulate_malformed_topology_names_its_line(text, line, message, tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        ["simulate", "--strategy", "cpi", "--topology", os.fspath(path)] + SMALL_SIM, capsys
+    )
+    where = os.fspath(path) if line is None else f"{path}:{line}"
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"dss: error: {where}: ")
+    assert message in err
 
 
 def test_bench_grid_and_markdown(tmp_path, capsys):

@@ -144,6 +144,23 @@ def test_all_budgets_matches_per_budget_solves():
             assert got == solve_exact(KnapsackInstance(budget, items))
 
 
+def test_all_budgets_with_zero_profits_and_unaffordable_items():
+    # Items 2 and 4 cost more than every budget. The zero-profit item 1 joins
+    # once an optimal set can afford it (1, 3 precedes 3); the zero-profit
+    # item 5 never does, because nothing is left to gain after item 3.
+    items = [
+        KnapsackItem(1, 0.0, 2),
+        KnapsackItem(2, 3.0, 9),
+        KnapsackItem(3, 1.0, 1),
+        KnapsackItem(4, 2.0, 12),
+        KnapsackItem(5, 0.0, 1),
+    ]
+    want = [set(), {3}, {3}, {1, 3}, {1, 3}, {1, 3}]
+    assert solve_exact_all_budgets(items, 5) == want
+    for budget, chosen in enumerate(want):
+        assert solve_exact(KnapsackInstance(budget, items)) == chosen
+
+
 def test_all_budgets_memory_is_set_by_the_table_not_per_budget_objects():
     # One item at 2**18 budgets: a table of a few MiB. One Python object per
     # budget would take about 43 MiB.

@@ -247,6 +247,41 @@ def test_a_bound_too_low_forces_both_second_passes():
     assert forced["pp"] >= 10 and forced["pgm"] >= 10, forced
 
 
+@st.composite
+def tie_heavy_contexts(draw):
+    """Up to 10 stores with fractional costs, rho at 0, and costs and ratios
+    drawn from small pools, so that subsets often tie on phi."""
+    beta = draw(st.one_of(st.sampled_from([1.0, 7.5, 100.0]), st.floats(1.0, 300.0)))
+    costs = st.one_of(st.sampled_from([1.0, 1.5, 2.25, 10.0]), st.floats(1.0, 60.0))
+    ratios = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), rhos)
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=10))
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(ratios)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+def brute_force_opt(ctx):
+    """Every subset scored by phi() itself, with opt's tie key."""
+    ordered = sorted(ctx.candidates, key=lambda p: p.id)
+    subsets = (
+        sub for k in range(len(ordered) + 1) for sub in itertools.combinations(ordered, k)
+    )
+    return min(
+        subsets,
+        key=lambda sub: (phi(sub, ctx.miss_penalty), len(sub), [p.id for p in sub]),
+    )
+
+
+@given(tie_heavy_contexts())
+# {3} and {1, 2} both reach the optimum 65; the smaller set wins the tie.
+@example(SelectionContext(
+    (DatastoreProfile(1, 20.0, 0.5), DatastoreProfile(2, 20.0, 0.5), DatastoreProfile(3, 40.0, 0.25)),
+    100.0,
+))
+@example(SelectionContext((DatastoreProfile(3, 2.0, 0.0), DatastoreProfile(1, 2.0, 0.0)), 50.0))
+def test_opt_equals_a_brute_force_over_phi(ctx):
+    assert select_exhaustive(ctx) == brute_force_opt(ctx)
+
+
 @given(contexts())
 def test_pp_is_optimal_on_integer_costs(ctx):
     pp = phi(select_dsalg_pp(ctx), ctx.miss_penalty)

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dss.core import DatastoreProfile, SelectionContext
@@ -187,6 +189,63 @@ def test_exhaustive_guard():
     stores = [(j, 1.0, 0.5) for j in range(EXHAUSTIVE_MAX_CANDIDATES + 1)]
     with pytest.raises(ValueError):
         select_exhaustive(make_ctx(stores))
+
+
+def reference_exhaustive(ctx):
+    """select_exhaustive as it was before subset doubling: one n x 2**16
+    bit matrix per chunk, row sums and products by numpy."""
+    n = ctx.n_positive
+    if n == 0:
+        return ()
+    ordered = tuple(sorted(ctx.candidates, key=lambda p: p.id))
+    costs = np.array([p.access_cost for p in ordered])
+    ratios = np.array([p.mis_ratio for p in ordered])
+    chunk = 1 << 16
+    best_mask = 0
+    best_key = None
+    for offset in range(0, 1 << n, chunk):
+        count = min(chunk, (1 << n) - offset)
+        masks = np.arange(offset, offset + count, dtype=np.uint32)
+        bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+        access = np.where(bits, costs, 0.0).sum(axis=1)
+        miss = np.where(bits, ratios, 1.0).prod(axis=1)
+        values = access + ctx.miss_penalty * miss
+        low = values.min()
+        for i in np.flatnonzero(values == low):
+            mask = offset + int(i)
+            ids = tuple(ordered[j].id for j in range(n) if mask >> j & 1)
+            key = (low, len(ids), ids)
+            if best_key is None or key < best_key:
+                best_mask, best_key = mask, key
+    return tuple(ordered[j] for j in range(n) if best_mask >> j & 1)
+
+
+def test_exhaustive_equals_the_bit_matrix_search_past_one_chunk():
+    # 17 and 18 candidates take the loop over the high-bit patterns. Costs
+    # and ratios come from small pools, so that many subsets tie.
+    rng = random.Random(39)
+    for n in (17, 17, 18, 18):
+        beta = rng.choice((20.0, 60.0, 500.0))
+        stores = [
+            (3 * j + rng.randint(0, 2), float(rng.randint(1, 6)), rng.choice((0.0, 0.2, 0.5, 0.9)))
+            for j in range(n)
+        ]
+        ctx = make_ctx(stores, beta)
+        assert select_exhaustive(ctx) == reference_exhaustive(ctx)
+
+
+def test_exhaustive_memory_stays_small_at_the_candidate_limit():
+    # The bit-matrix search peaked at 13.3 MiB on 20 candidates.
+    rng = random.Random(40)
+    stores = [(j, float(rng.randint(1, 30)), rng.uniform(0.01, 0.99)) for j in range(20)]
+    ctx = make_ctx(stores)
+    tracemalloc.start()
+    try:
+        select_exhaustive(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 ALL_STRATEGIES = list(STRATEGIES.values())
