@@ -3,7 +3,9 @@
 Selecting stores to maximize the chance of a hit under an access budget is a
 knapsack: give each store the weight w = -log2(rho), so maximizing the summed
 weight minimizes the product of misindication ratios. Costs here are integer
-access costs; the exact solver is the classic dynamic program, and the greedy
+access costs. The exact solver is the classic dynamic program, built once up
+to a largest budget so that it answers every smaller budget too
+(solve_exact_all_budgets; solve_exact reads its last entry). The greedy
 profit-density solver is the textbook 2-approximation.
 """
 
@@ -63,69 +65,28 @@ class KnapsackInstance:
             raise ValueError("item ids must be distinct")
 
 
-def _suffix_table(
-    items: list[KnapsackItem], budget: int
-) -> list[np.ndarray]:
-    """rows[i][b] = max profit from items[i:] within budget b; rows[n] = 0."""
-    rows = [np.zeros(budget + 1)] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        nxt = rows[i + 1]
-        c, w = items[i].cost, items[i].profit
-        if c > budget:
-            rows[i] = nxt
-            continue
-        take = np.full(budget + 1, -np.inf)
-        take[c:] = nxt[: budget + 1 - c] + w
-        rows[i] = np.maximum(nxt, take)
-    return rows
-
-
-def _reconstruct(
-    items: list[KnapsackItem], rows: list[np.ndarray], budget: int
-) -> frozenset:
-    """Walk one optimal path, yielding the lexicographically smallest id set.
-
-    Two rules give lexicographic minimality over sorted id tuples: stop as
-    soon as the remaining achievable profit is zero (a proper prefix precedes
-    every extension), and otherwise include the current item whenever an
-    optimal completion through it exists (a smaller leading id precedes every
-    larger one). Branch feasibility is tested by exact equality against the
-    very sums the table was built from, so no float tolerance is needed.
-    """
-    chosen = []
-    b = budget
-    for i, item in enumerate(items):
-        need = rows[i][b]
-        if need == 0.0:
-            break
-        if item.cost <= b and item.profit + rows[i + 1][b - item.cost] == need:
-            chosen.append(item.id)
-            b -= item.cost
-    return frozenset(chosen)
-
-
-def solve_exact(instance: KnapsackInstance) -> frozenset:
-    """Optimal item ids; profit ties resolved to the lexicographically
-    smallest id set (so e.g. a zero-budget instance yields the empty set)."""
-    items = sorted(instance.items, key=lambda it: it.id)
-    rows = _suffix_table(items, instance.budget)
-    return _reconstruct(items, rows, instance.budget)
-
-
 def solve_exact_all_budgets(
     items: tuple[KnapsackItem, ...] | list[KnapsackItem], max_budget: int
 ) -> list[frozenset]:
-    """solve_exact for every budget 0..max_budget from one shared table.
+    """Optimal item ids for every budget 0..max_budget, from one table.
 
-    Table cell (i, b) never depends on cells with larger b, so the table
-    built at max_budget answers every smaller budget identically to a
-    dedicated solve. While each suffix row is built, decide[i, b] records
-    _reconstruct's take test at item i and budget b, on the same float
-    sums: the item fits, an optimal completion goes through it, and the
-    row is not 0 there. The walk then follows those decisions for all
-    budgets together. Once a row reads 0 at a walk's remaining budget,
-    every later row does too, so the walk needs no stop of its own. A run
-    of budgets that choose the same ids shares one set.
+    Items are taken in id order; suffix row i holds the best profit from
+    items i onward within each budget. Cell (i, b) never depends on cells
+    with larger b, so the table built at max_budget answers every smaller
+    budget as a dedicated solve would.
+
+    Each budget gets its lexicographically smallest optimal id set (over
+    sorted id tuples). Two rules give that: stop once the profit still
+    achievable is 0 (a proper prefix precedes every extension), and
+    otherwise take the current item whenever an optimal completion goes
+    through it (a smaller leading id precedes every larger one). While
+    each row is built, decide[i, b] records that take test on the very
+    float sums the row was built from, so no tolerance is needed: the item
+    fits, an optimal completion goes through it, and the row is not 0
+    there. The walk follows those decisions for all budgets together.
+    Once a row reads 0 at a walk's remaining budget every later row does
+    too, so that last test is the stop rule. A run of budgets that choose
+    the same ids shares one set.
     """
     if max_budget < 0:
         raise ValueError(f"max_budget must be >= 0, got {max_budget}")
@@ -154,6 +115,12 @@ def solve_exact_all_budgets(
     for lo, hi in zip(bounds, bounds[1:]):
         sets += [frozenset(compress(ids, taken[:, lo].tolist()))] * (hi - lo)
     return sets
+
+
+def solve_exact(instance: KnapsackInstance) -> frozenset:
+    """Optimal item ids; profit ties resolved to the lexicographically
+    smallest id set (so e.g. a zero-budget instance yields the empty set)."""
+    return solve_exact_all_budgets(instance.items, instance.budget)[-1]
 
 
 def solve_greedy2(instance: KnapsackInstance) -> frozenset:

@@ -227,6 +227,11 @@ def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
     return _Shared(cost_rows, _ItemHashes(config.seed, n_stores, num_counters))
 
 
+def _check_locations(k: int, n_stores: int) -> None:
+    if k > n_stores:
+        raise ValueError(f"locations_per_item {k} exceeds {n_stores} stores")
+
+
 def run(
     config: SimConfig,
     topology: Topology | str | None = None,
@@ -243,11 +248,7 @@ def run(
     topo = _as_topology(topology)
     items = _as_trace(trace)
     n_stores = len(topo.nodes)
-    if config.locations_per_item > n_stores:
-        raise ValueError(
-            f"locations_per_item {config.locations_per_item} exceeds "
-            f"{n_stores} stores"
-        )
+    _check_locations(config.locations_per_item, n_stores)
     shared = _shared or _make_shared(config, topo)
     hashes = shared.hashes
     bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
@@ -349,7 +350,8 @@ def run_grid(
     """Benchmark grid. The ground-truth baseline runs once per
     (beta, k, seed) cell and normalizes every strategy in that cell. The
     cells of a seed share one cost matrix and one item-hash table. Every
-    cell's configs are built, and so checked, before the first run."""
+    cell's configs are built, and so checked, and every k is checked
+    against the topology's stores, before the first run."""
     names = [resolve_strategy(s) for s in strategies]
     cells = []
     for beta in betas:
@@ -368,6 +370,8 @@ def run_grid(
                 configs = [dataclasses.replace(cell, strategy=name) for name in names]
                 cells.append((cell, configs))
     topo = _as_topology(topology)
+    for k in ks:
+        _check_locations(k, len(topo.nodes))
     items = _as_trace(trace)
     shared: dict[int, _Shared] = {}
     rows = []

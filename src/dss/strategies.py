@@ -81,7 +81,11 @@ def _phi_by_id(selection: Selection, miss_penalty: float) -> float:
 def _best_by_phi(
     candidates: Iterable[Sequence[DatastoreProfile]], miss_penalty: float
 ) -> Selection:
-    """Argmin of phi; ties prefer fewer stores, then lexicographic ids."""
+    """Argmin of phi; ties prefer fewer stores, then lexicographic ids.
+
+    Every caller proposes at least one selection, so an empty family is an
+    InvariantError, not a bad input.
+    """
     best: Selection | None = None
     best_key: tuple | None = None
     for cand in candidates:
@@ -90,7 +94,7 @@ def _best_by_phi(
         if best_key is None or key < best_key or (key == best_key and _ids(sel) < _ids(best)):
             best, best_key = sel, key
     if best is None:
-        raise ValueError("no candidate selections supplied")
+        raise InvariantError("no candidate selections supplied")
     return best
 
 
@@ -423,8 +427,8 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
     stores are built by doubling: the second half of the arrays is the
     first half plus the next store. Each pattern of the remaining high bits
     then adds its stores to those arrays. Every subset is thus folded in id
-    order, as expected_cost folds it, so each value equals its phi bit for
-    bit.
+    order, as _phi_by_id folds it, so each value equals its phi bit for bit,
+    and _best_by_phi breaks the ties among each pattern's minima.
     """
     n = ctx.n_positive
     if n > EXHAUSTIVE_MAX_CANDIDATES:
@@ -443,8 +447,7 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
         np.add(low_access[:half], p.access_cost, out=low_access[half : 2 * half])
         np.multiply(low_miss[:half], p.mis_ratio, out=low_miss[half : 2 * half])
     high = ordered[low_bits:]
-    best_mask = 0
-    best_key: tuple | None = None
+    tied: list[int] = []
     for pattern in range(1 << len(high)):
         access, miss = low_access, low_miss
         for j, p in enumerate(high):
@@ -452,14 +455,10 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
                 access = access + p.access_cost
                 miss = miss * p.mis_ratio
         values = access + ctx.miss_penalty * miss
-        least = values.min()
-        for i in np.flatnonzero(values == least):
-            mask = pattern << low_bits | int(i)
-            ids = tuple(ordered[j].id for j in range(n) if mask >> j & 1)
-            key = (least, len(ids), ids)
-            if best_key is None or key < best_key:
-                best_mask, best_key = mask, key
-    return tuple(ordered[j] for j in range(n) if best_mask >> j & 1)
+        at_min = np.flatnonzero(values == values.min()).tolist()
+        tied += (pattern << low_bits | i for i in at_min)
+    subsets = ([p for j, p in enumerate(ordered) if mask >> j & 1] for mask in tied)
+    return _best_by_phi(subsets, ctx.miss_penalty)
 
 
 # Every selector by strategy name, in the order reports list them. A selector

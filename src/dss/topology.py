@@ -177,10 +177,12 @@ def parse_topology(text: str, path: str = "<topology>") -> Topology:
             _add_edge(adjacency, edges[-1])
         except ValueError as exc:
             raise fileio.FileFormatError(path, fileio.line_of(item), str(exc)) from exc
+    # Of the whole-graph checks, only an empty node list has a line.
+    line = None if adjacency else fileio.line_of(nodes_node)
     try:
         return Topology(tuple(adjacency), tuple(edges))
     except ValueError as exc:
-        raise fileio.FileFormatError(path, None, str(exc)) from exc
+        raise fileio.FileFormatError(path, line, str(exc)) from exc
 
 
 def format_topology(topology: Topology) -> str:

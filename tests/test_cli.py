@@ -338,8 +338,9 @@ def _topology(edges, nodes="nodes:\n  - a\n  - b\n  - c\n"):
     (_topology(["a: a, b: b, bw: 1", "a: b, b: c, bw: 0"]), 7, "bandwidth must be positive"),
     (_topology(["a: a, b: b, bw: -.inf", "a: b, b: c, bw: 1"]), 6, "bandwidth must be positive"),
     (_topology(["a: a, b: b, bw: 1"]), None, "topology is not connected"),
+    ("edges: []\nnodes: []\n", 2, "topology needs at least one node"),
 ], ids=["repeated-node", "unknown-endpoint", "self-loop", "duplicate-edge", "bw-0", "bw--.inf",
-        "disconnected"])
+        "disconnected", "empty-nodes"])
 def test_simulate_malformed_topology_names_its_line(text, line, message, tmp_path, capsys):
     path = tmp_path / "net.yaml"
     path.write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dss.knapsack import (
@@ -14,6 +15,55 @@ from dss.knapsack import (
     solve_exact_all_budgets,
     solve_greedy2,
 )
+
+
+def _suffix_table(
+    items: list[KnapsackItem], budget: int
+) -> list[np.ndarray]:
+    """rows[i][b] = max profit from items[i:] within budget b; rows[n] = 0."""
+    rows = [np.zeros(budget + 1)] * (len(items) + 1)
+    for i in range(len(items) - 1, -1, -1):
+        nxt = rows[i + 1]
+        c, w = items[i].cost, items[i].profit
+        if c > budget:
+            rows[i] = nxt
+            continue
+        take = np.full(budget + 1, -np.inf)
+        take[c:] = nxt[: budget + 1 - c] + w
+        rows[i] = np.maximum(nxt, take)
+    return rows
+
+
+def _reconstruct(
+    items: list[KnapsackItem], rows: list[np.ndarray], budget: int
+) -> frozenset:
+    """Walk one optimal path, yielding the lexicographically smallest id set.
+
+    Two rules give lexicographic minimality over sorted id tuples: stop as
+    soon as the remaining achievable profit is zero (a proper prefix precedes
+    every extension), and otherwise include the current item whenever an
+    optimal completion through it exists (a smaller leading id precedes every
+    larger one). Branch feasibility is tested by exact equality against the
+    very sums the table was built from, so no float tolerance is needed.
+    """
+    chosen = []
+    b = budget
+    for i, item in enumerate(items):
+        need = rows[i][b]
+        if need == 0.0:
+            break
+        if item.cost <= b and item.profit + rows[i + 1][b - item.cost] == need:
+            chosen.append(item.id)
+            b -= item.cost
+    return frozenset(chosen)
+
+
+def reference_solve(items, budget):
+    """solve_exact as it was before it read the all-budgets table: one
+    suffix table per budget and a walk over it. Every comparison of the
+    table and of solve_exact is made against this one copy."""
+    items = sorted(items, key=lambda it: it.id)
+    return _reconstruct(items, _suffix_table(items, budget), budget)
 
 
 def brute_force(instance):
@@ -141,7 +191,9 @@ def test_all_budgets_matches_per_budget_solves():
         table = solve_exact_all_budgets(items, max_budget)
         assert len(table) == max_budget + 1
         for budget, got in enumerate(table):
-            assert got == solve_exact(KnapsackInstance(budget, items))
+            want = reference_solve(items, budget)
+            assert got == want
+            assert solve_exact(KnapsackInstance(budget, items)) == want
 
 
 def test_all_budgets_with_zero_profits_and_unaffordable_items():

@@ -51,6 +51,7 @@ from dss.strategies import (
 )
 from dss.sim import _store_ranking, designated_stores
 from dss.topology import Edge, Topology, cost_matrix, min_hop_max_bottleneck
+from test_knapsack import reference_solve
 
 # Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
 # must break exactly as a dedicated solve does.
@@ -96,7 +97,9 @@ def test_all_budgets_equals_a_solve_per_budget(case):
     table = solve_exact_all_budgets(items, max_budget)
     assert len(table) == max_budget + 1
     for budget, chosen in enumerate(table):
-        assert chosen == solve_exact(KnapsackInstance(budget, items))
+        want = reference_solve(items, budget)
+        assert chosen == want
+        assert solve_exact(KnapsackInstance(budget, items)) == want
 
 
 @given(knapsacks())

@@ -68,6 +68,8 @@ def test_grid_checks_every_cell_before_the_first_run(monkeypatch):
     monkeypatch.setattr(dss.sim, "run", no_run)
     with pytest.raises(ValueError, match="miss_penalty >= 2"):
         run_grid(["cpi", "pgm"], [100.0, 1.5], [1, 5], [0], trace=zipf_trace(50, 20, seed=1))
+    with pytest.raises(ValueError, match="locations_per_item 50 exceeds 19 stores"):
+        run_grid(["cpi", "pgm"], [100.0], [1, 50], [0], trace=zipf_trace(50, 20, seed=1))
 
 
 def test_sim_config_rejects_negative_seed():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dss.core import DatastoreProfile, SelectionContext
+from dss.core import DatastoreProfile, InvariantError, SelectionContext
 import dss.strategies
 from dss.strategies import (
     EXHAUSTIVE_MAX_CANDIDATES,
@@ -15,6 +15,7 @@ from dss.strategies import (
     PP_MAX_TABLE_CELLS,
     STRATEGIES,
     PgmCandidate,
+    _best_by_phi,
     merge_candidate_lists,
     phi,
     potential_state,
@@ -151,6 +152,15 @@ def test_dsalg_knap_returns_best_of_its_candidate_family():
         assert phi(got, ctx.miss_penalty) >= phi(
             select_exhaustive(ctx), ctx.miss_penalty
         ) - 1e-9
+
+
+def test_best_by_phi_on_an_empty_family_is_an_invariant_error():
+    # umb, pgm and opt each propose at least one selection. `dss select`
+    # prints a selector's ValueError as "<name> unavailable", so an empty
+    # family must raise something else: it is a bug, not a bad input.
+    assert not issubclass(InvariantError, ValueError)
+    with pytest.raises(InvariantError, match="no candidate selections"):
+        _best_by_phi(iter(()), 100.0)
 
 
 def test_pgm_merge_keeps_best_union_per_cost_range():
