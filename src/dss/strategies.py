@@ -24,6 +24,9 @@ The rest approximately minimize the expected-cost objective phi:
 - select_exhaustive: brute force over all subsets (guarded to <= 20
   candidates), the oracle the others are judged against.
 
+Each of these five refuses what it cannot take, and then answers a context
+of at most one candidate by one closed form, _at_most_one.
+
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
 and the demos all take the strategy set from it.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -102,6 +105,24 @@ def _ids(selection: Selection) -> tuple:
     return tuple(p.id for p in selection)
 
 
+def _at_most_one(ctx: SelectionContext) -> Selection | None:
+    """Every phi-minimizer's answer on a context of at most one candidate,
+    or None on a larger one.
+
+    The only proposals are the empty selection (phi = miss_penalty) and the
+    one store p (phi = c + miss_penalty * rho, both folds from 0.0 and 1.0
+    as _phi_by_id folds them), and a tie goes to the empty one.
+    """
+    candidates = ctx.candidates
+    if len(candidates) > 1:
+        return None
+    if not candidates:
+        return ()
+    p = candidates[0]
+    beta = ctx.miss_penalty
+    return (p,) if p.access_cost + beta * p.mis_ratio < beta else ()
+
+
 def select_cpi(ctx: SelectionContext) -> Selection:
     """Cheapest positive indication: one store, minimal access cost (ties by id)."""
     if not ctx.candidates:
@@ -153,11 +174,25 @@ def select_pot(ctx: SelectionContext) -> Selection:
 
     Minimizes P(k) = (sum of k cheapest costs) + miss_penalty * (product of
     the k smallest misindication ratios) over k, ties toward smaller k, and
-    returns the first k stores in misindication order.
+    returns the first k stores in misindication order. The potentials are
+    potential_state's, folded the same way, without its high_cost_sums.
     """
-    state = potential_state(ctx)
-    k_best = min(range(len(state.potentials)), key=lambda k: (state.potentials[k], k))
-    return _by_id(state.order[:k_best])
+    one = _at_most_one(ctx)
+    if one is not None:
+        return one
+    beta = ctx.miss_penalty
+    order = sorted(ctx.candidates, key=_RHO_ID)
+    asc = sorted(p.access_cost for p in order)
+    k_best, best = 0, beta
+    access = 0.0
+    miss = 1.0
+    for k, (cost, p) in enumerate(zip(asc, order), 1):
+        access += cost
+        miss *= p.mis_ratio
+        value = access + beta * miss
+        if value < best:
+            k_best, best = k, value
+    return _by_id(order[:k_best])
 
 
 def _require_integer_costs(ctx: SelectionContext) -> dict:
@@ -177,8 +212,6 @@ def _phi_upper_bound(ctx: SelectionContext) -> float:
     every prefix of the (misindication, id)-sorted candidates: an upper
     bound on the optimum's phi, found in one sort."""
     beta = ctx.miss_penalty
-    if not ctx.candidates:
-        return beta
     bound = beta
     access = 0.0
     miss = 1.0
@@ -211,6 +244,8 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     sweep therefore first stops at the floor of _phi_upper_bound, and runs
     to the end only when its best phi exceeds that width plus one; the
     answer is the full sweep's either way.
+    Each pass builds knapsack items only for the stores it can afford: the
+    table never takes a costlier one.
     Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells in
     the (candidates + 1) x (budgets + 1) table.
     """
@@ -222,13 +257,17 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
             f"budget sweep up to budget {max_budget} over {len(int_costs)} "
             f"candidates needs {cells} table cells, more than {PP_MAX_TABLE_CELLS}"
         )
+    one = _at_most_one(ctx)
+    if one is not None:
+        return one
     by_id = {p.id: p for p in ctx.candidates}
-    items = [
-        KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
-        for p in ctx.candidates
-    ]
     width = min(max_budget, math.floor(_phi_upper_bound(ctx)))
     for budget in dict.fromkeys((width, max_budget)):
+        items = [
+            KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
+            for p in ctx.candidates
+            if int_costs[p.id] <= budget
+        ]
         per_budget = solve_exact_all_budgets(items, budget)
         best: Selection | None = None
         best_phi = math.inf
@@ -255,17 +294,39 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     ties by id, and consider every prefix of that order plus every single
     store. The empty selection always competes. Returns the candidate with
     the smallest phi.
+
+    A tier's prefixes extend one another, so each is scored by folding one
+    more store into the previous one's access sum and miss product. That
+    proposal-order phi differs from the id-order phi by rounding only, far
+    below a relative 1e-12, so just the proposals within 1e-12 of the least
+    go on to _best_by_phi, which rescores them in id order.
     """
+    one = _at_most_one(ctx)
+    if one is not None:
+        return one
+    beta = ctx.miss_penalty
+    candidates = ctx.candidates
+    density = sorted(
+        candidates,
+        key=lambda p: (-(clamped_log_hit_weight(p.mis_ratio) / p.access_cost), p.id),
+    )
+    # (phi in proposal order, pool, length): the proposal is pool[:length].
     # Every store is a single in the top tier, and a one-store prefix is a
     # single too, so each single is proposed once.
-    proposals: list[Sequence[DatastoreProfile]] = [()]
-    proposals += ((p,) for p in ctx.candidates)
-    weights = {p.id: clamped_log_hit_weight(p.mis_ratio) for p in ctx.candidates}
-    for tier in sorted({p.access_cost for p in ctx.candidates}):
-        pool = [p for p in ctx.candidates if p.access_cost <= tier]
-        pool.sort(key=lambda p: (-(weights[p.id] / p.access_cost), p.id))
-        proposals += (pool[:t] for t in range(2, len(pool) + 1))
-    return _best_by_phi(proposals, ctx.miss_penalty)
+    scored = [(beta, candidates, 0)]
+    scored += ((p.access_cost + beta * p.mis_ratio, (p,), 1) for p in candidates)
+    for tier in sorted({p.access_cost for p in candidates}):
+        pool = [p for p in density if p.access_cost <= tier]
+        access = 0.0
+        miss = 1.0
+        for t, p in enumerate(pool, 1):
+            access += p.access_cost
+            miss *= p.mis_ratio
+            if t > 1:
+                scored.append((access + beta * miss, pool, t))
+    least = min(scored, key=itemgetter(0))[0]
+    limit = least + least * 1e-12
+    return _best_by_phi((pool[:t] for value, pool, t in scored if value <= limit), beta)
 
 
 @dataclass(frozen=True)
@@ -297,7 +358,19 @@ def merge_candidate_lists(
     costing 2**num_ranges or more are dropped, and the empty candidate is
     always retained.
     """
-    best: dict[int, PgmCandidate] = {}
+    return _merge(left, sorted(right, key=attrgetter("cost")), num_ranges)
+
+
+def _merge(
+    left: Sequence[PgmCandidate], right: Sequence[PgmCandidate], num_ranges: int
+) -> list[PgmCandidate]:
+    """merge_candidate_lists of a right list in nondecreasing cost order.
+
+    Every list the merge tree builds is in that order. So once a union costs
+    2**num_ranges or more, so does every union of the same left candidate
+    with a later right one, and the inner loop stops there.
+    """
+    best: dict[int, tuple] = {}  # range -> (mis_product, cost, ids)
     for a in left:
         for b in right:
             cost = a.cost + b.cost
@@ -305,15 +378,17 @@ def merge_candidate_lists(
                 continue  # only the empty-empty union; kept separately
             t = _dyadic_range(cost)
             if t > num_ranges:
-                continue
+                break
             mis = a.mis_product * b.mis_product
             cur = best.get(t)
-            if cur is not None and (mis, cost) > (cur.mis_product, cur.cost):
+            if cur is not None and (mis, cost) > (cur[0], cur[1]):
                 continue
             ids = tuple(sorted(a.ids + b.ids))
-            if cur is None or (mis, cost, ids) < (cur.mis_product, cur.cost, cur.ids):
-                best[t] = PgmCandidate(ids, cost, mis)
-    return [PGM_EMPTY] + [best[t] for t in sorted(best)]
+            if cur is None or (mis, cost, ids) < cur:
+                best[t] = (mis, cost, ids)
+    return [PGM_EMPTY] + [
+        PgmCandidate(ids, cost, mis) for _, (mis, cost, ids) in sorted(best.items())
+    ]
 
 
 def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
@@ -337,7 +412,7 @@ def _merge_subtrees(
     num_ranges: int,
     leaves: bool,
 ) -> list[PgmCandidate] | None:
-    """merge_candidate_lists of two subtrees, None standing for [PGM_EMPTY].
+    """_merge of two subtrees, None standing for [PGM_EMPTY].
 
     Merging a list with [PGM_EMPTY] only keeps its best candidate per range.
     A list that came out of a merge is already that, so past the leaf level
@@ -347,8 +422,8 @@ def _merge_subtrees(
         only = right if left is None else left
         if only is None or not leaves:
             return only
-        return merge_candidate_lists(only, [PGM_EMPTY], num_ranges)
-    return merge_candidate_lists(left, right, num_ranges)
+        return _merge(only, [PGM_EMPTY], num_ranges)
+    return _merge(left, right, num_ranges)
 
 
 def select_pgm(ctx: SelectionContext) -> Selection:
@@ -359,8 +434,8 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     misindication-sorted prefixes, and bands are merged pairwise up a binary
     tree (odd levels padded with an empty band), each merge keeping the best
     union per dyadic cost range. The root candidate with the smallest phi
-    wins. Stores costing 2**r or more can never improve a selection (their
-    cost alone exceeds the miss penalty) and are ignored.
+    wins. Stores costing 2**r or more are ignored: their cost alone is at
+    least the miss penalty, unless log2 rounded r down.
 
     A first pass keeps only the ranges below kept = the dyadic range of
     _phi_upper_bound: it drops the bands and unions that cost 2**kept or
@@ -374,9 +449,12 @@ def select_pgm(ctx: SelectionContext) -> Selection:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
         )
-    if not ctx.candidates:
-        return ()
     num_ranges = math.ceil(math.log2(ctx.miss_penalty))
+    one = _at_most_one(ctx)
+    if one is not None:
+        # log2 can round a miss penalty just above 2**r down to r, so a
+        # store the tree ignores may cost less than the miss penalty.
+        return tuple(p for p in one if _dyadic_range(p.access_cost) <= num_ranges)
     kept = min(num_ranges, _dyadic_range(_phi_upper_bound(ctx)))
     best = _pgm_pass(ctx, num_ranges, kept)
     # A candidate's range comes from its cost summed in merge order, phi sums
@@ -436,8 +514,9 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
             f"exhaustive search supports at most {EXHAUSTIVE_MAX_CANDIDATES} "
             f"candidates, got {n}"
         )
-    if n == 0:
-        return ()
+    one = _at_most_one(ctx)
+    if one is not None:
+        return one
     ordered = _by_id(ctx.candidates)
     low_bits = min(n, _EXHAUSTIVE_LOW_BITS)
     low_access = np.zeros(1 << low_bits)

@@ -34,16 +34,18 @@ from dss.knapsack import (
 from dss.strategies import (
     PGM_EMPTY,
     STRATEGIES,
+    PgmCandidate,
     _best_by_phi,
     _by_id,
     _dyadic_range,
-    _merge_subtrees,
     _pgm_pass as pgm_pass,
     _phi_by_id,
     _prefix_candidates,
     _require_integer_costs,
+    merge_candidate_lists,
     phi,
     potential_state,
+    select_dsalg_knap,
     select_dsalg_pp,
     select_exhaustive,
     select_pgm,
@@ -132,9 +134,42 @@ def reference_pp(ctx):
     return best
 
 
+def reference_merge(left, right, num_ranges):
+    """merge_candidate_lists as it was before its early exit: every pair of
+    candidates is tried, whatever the lists' order."""
+    best = {}
+    for a in left:
+        for b in right:
+            cost = a.cost + b.cost
+            if cost < 1.0:
+                continue  # only the empty-empty union; kept separately
+            t = _dyadic_range(cost)
+            if t > num_ranges:
+                continue
+            mis = a.mis_product * b.mis_product
+            cur = best.get(t)
+            if cur is not None and (mis, cost) > (cur.mis_product, cur.cost):
+                continue
+            ids = tuple(sorted(a.ids + b.ids))
+            if cur is None or (mis, cost, ids) < (cur.mis_product, cur.cost, cur.ids):
+                best[t] = PgmCandidate(ids, cost, mis)
+    return [PGM_EMPTY] + [best[t] for t in sorted(best)]
+
+
+def reference_merge_subtrees(left, right, num_ranges, leaves):
+    """_merge_subtrees on reference_merge."""
+    if left is None or right is None:
+        only = right if left is None else left
+        if only is None or not leaves:
+            return only
+        return reference_merge(only, [PGM_EMPTY], num_ranges)
+    return reference_merge(left, right, num_ranges)
+
+
 def reference_pgm(ctx):
-    """select_pgm as it was before its first pass: one merge over every
-    dyadic range below ceil(log2(beta))."""
+    """select_pgm as it was before its first pass, its closed form for one
+    candidate and its early exit: one merge over every dyadic range below
+    ceil(log2(beta)), trying every pair."""
     if ctx.miss_penalty < 2.0:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
@@ -151,13 +186,34 @@ def reference_pgm(ctx):
         if len(lists) % 2:
             lists.append(None)
         lists = [
-            _merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
+            reference_merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
             for i in range(0, len(lists), 2)
         ]
         leaves = False
     by_id = {p.id: p for p in ctx.candidates}
     root = lists[0] or [PGM_EMPTY]
     return _best_by_phi([[by_id[i] for i in c.ids] for c in root], ctx.miss_penalty)
+
+
+def reference_knap(ctx):
+    """select_dsalg_knap as it was before its closed form and its
+    proposal-order scoring: _best_by_phi rescores every proposal."""
+    proposals = [()]
+    proposals += ((p,) for p in ctx.candidates)
+    weights = {p.id: clamped_log_hit_weight(p.mis_ratio) for p in ctx.candidates}
+    for tier in sorted({p.access_cost for p in ctx.candidates}):
+        pool = [p for p in ctx.candidates if p.access_cost <= tier]
+        pool.sort(key=lambda p: (-(weights[p.id] / p.access_cost), p.id))
+        proposals += (pool[:t] for t in range(2, len(pool) + 1))
+    return _best_by_phi(proposals, ctx.miss_penalty)
+
+
+def reference_pot(ctx):
+    """select_pot as it was before its closed form: the argmin of
+    potential_state's potentials, ties toward fewer stores."""
+    state = potential_state(ctx)
+    k_best = min(range(len(state.potentials)), key=lambda k: (state.potentials[k], k))
+    return _by_id(state.order[:k_best])
 
 
 @st.composite
@@ -212,8 +268,9 @@ def test_pp_and_pgm_equal_the_full_passes_on_the_golden_contexts():
 
 def test_a_bound_too_low_forces_both_second_passes():
     """With the bound at 1.0 the first passes cover budget 1 and range 1.
-    Whenever the answer's phi is at least 2 the second pass must run, and
-    the answer must still be the full pass's."""
+    On two or more candidates, whenever the answer's phi is at least 2 the
+    second pass must run, and the answer must still be the full pass's.
+    Contexts of 0 or 1 candidates get the closed form: no table, no pass."""
     budgets, passes = [], []
 
     def solve_spy(items, max_budget):
@@ -230,24 +287,136 @@ def test_a_bound_too_low_forces_both_second_passes():
             mock.patch.object(dss.strategies, "_pgm_pass", pass_spy):
         for ctx in golden_select_contexts():
             beta = ctx.miss_penalty
+            several = ctx.n_positive >= 2
             budgets.clear()
             want = outcome(reference_pp, ctx)
             assert outcome(select_dsalg_pp, ctx) == want
-            if isinstance(want, list):
+            if not several:
+                assert budgets == []
+                forced["pp closed"] += isinstance(want, list)
+            elif isinstance(want, list):
                 max_budget = min(sum(p.access_cost for p in ctx.candidates), math.floor(beta))
                 if max_budget > 1 and phi([p for p in ctx.candidates if p.id in want], beta) > 2:
                     assert budgets == [1, max_budget]
                     forced["pp"] += 1
-            if beta < 2.0 or not ctx.candidates:
+            if beta < 2.0:
                 continue
             passes.clear()
             want = outcome(reference_pgm, ctx)
             assert outcome(select_pgm, ctx) == want
+            if not several:
+                assert passes == []
+                forced["pgm closed"] += 1
+                continue
             num_ranges = math.ceil(math.log2(beta))
             if num_ranges > 1 and phi([p for p in ctx.candidates if p.id in want], beta) >= 2:
                 assert passes == [1, num_ranges]
                 forced["pgm"] += 1
     assert forced["pp"] >= 10 and forced["pgm"] >= 10, forced
+    assert forced["pp closed"] >= 5 and forced["pgm closed"] >= 5, forced
+
+
+@st.composite
+def pooled_contexts(draw):
+    """0-12 stores whose costs and ratios mostly come from small pools, so
+    that subsets tie on phi, with rho = 0 among the ratios."""
+    beta = draw(st.sampled_from([2.0, 2.5, 100.0, 1000.0]))
+    costs = st.one_of(st.sampled_from([1.0, 1.5, 2.0, 2.25, 3.0, 10.0]), st.floats(1.0, 60.0))
+    ratios = st.one_of(st.sampled_from([0.0, 0.1, 0.5]), rhos)
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=12))
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(ratios)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+# The density order folds {3, 1, 2, 0}'s phi to just above that of {1, 2,
+# 0}'s in proposal order, though {0, 1, 2} wins in id order; umb's margin
+# must keep both for the id-order verify.
+UMB_ROUNDING_CASE = SelectionContext(
+    (
+        DatastoreProfile(0, 1.5, 0.6),
+        DatastoreProfile(1, 2.25, 0.1),
+        DatastoreProfile(2, 1.1, 0.1),
+        DatastoreProfile(3, 3.0, 0.5),
+    ),
+    1000.0,
+)
+
+
+@given(pooled_contexts())
+@example(UMB_ROUNDING_CASE)
+def test_umb_equals_the_reference(ctx):
+    assert select_dsalg_knap(ctx) == reference_knap(ctx)
+
+
+@given(pooled_contexts())
+def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
+    assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+@given(pooled_contexts())
+def test_pot_equals_the_reference(ctx):
+    assert select_pot(ctx) == reference_pot(ctx)
+
+
+@st.composite
+def pgm_candidate_lists(draw, first_id):
+    """The empty candidate, then up to 6 candidates in any cost order, with
+    ids drawn from first_id .. first_id + 49."""
+    out = [PGM_EMPTY]
+    for _ in range(draw(st.integers(0, 6))):
+        ids = draw(st.lists(st.integers(first_id, first_id + 49), unique=True, min_size=1, max_size=3))
+        cost = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.5, 4.0, 7.0, 8.0, 20.0]), st.floats(1.0, 40.0)))
+        mis = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        out.append(PgmCandidate(tuple(sorted(ids)), cost, mis))
+    return draw(st.permutations(out))
+
+
+@given(pgm_candidate_lists(0), pgm_candidate_lists(50), st.integers(1, 6))
+def test_pgm_merge_of_unsorted_lists_equals_the_reference(left, right, num_ranges):
+    assert merge_candidate_lists(left, right, num_ranges) == reference_merge(left, right, num_ranges)
+
+
+def small_context_values():
+    """Every miss penalty, cost and ratio of the closed-form sweep: costs at
+    beta, at floor(beta) and just past it, fractional costs, ratios at 0 and
+    1e-15, ties (c + beta * rho == beta), beta below 2, and a beta just
+    above 2**4, whose log2 rounds down to 4."""
+    for beta in (1.0, 1.5, 2.0, 2.5, 3.0, 7.5, 16.0, math.nextafter(16.0, 32.0), 100.0, 100.5, 1000.0):
+        costs = {1.0, 1.5, 2.0, 3.0, 16.0, beta, beta / 2, float(math.floor(beta)),
+                 float(math.floor(beta)) + 1, 2.0 * beta}
+        for cost in sorted(c for c in costs if c >= 1.0):
+            for rho in (0.0, 1e-15, 0.1, 0.5, 1.0 - cost / beta, 0.999999, RHO_MAX):
+                if 0.0 <= rho < 1.0:
+                    yield beta, cost, rho
+
+
+def test_closed_form_equals_the_references_on_every_small_context():
+    """pot, pp, umb, pgm and opt answer contexts of 0 or 1 candidates by
+    one closed form; each answer, or refusal, must be the one its
+    reference gives."""
+    references = {
+        "pot": reference_pot,
+        "pp": reference_pp,
+        "umb": reference_knap,
+        "pgm": reference_pgm,
+        "opt": brute_force_opt,
+    }
+    contexts = [SelectionContext((), beta) for beta in (1.0, 1.5, 2.0, 100.0)]
+    contexts += [
+        SelectionContext((DatastoreProfile(7, cost, rho),), beta)
+        for beta, cost, rho in small_context_values()
+    ]
+    taken = Counter()
+    for ctx in contexts:
+        for name, reference in references.items():
+            got = outcome(STRATEGIES[name], ctx)
+            assert got == outcome(reference, ctx), (name, ctx)
+            taken[name, str(got)] += 1
+    # Every selector takes the store, leaves it and (pp, pgm) refuses.
+    for name in references:
+        assert taken[name, "[7]"] and taken[name, "[]"], name
+    assert any(n == "pp" and "integer" in got for n, got in taken)
+    assert any(n == "pgm" and "miss_penalty >= 2" in got for n, got in taken)
 
 
 @st.composite

@@ -27,6 +27,7 @@ from dss.strategies import (
     select_pgm,
     select_pot,
 )
+from dss.knapsack import solve_exact_all_budgets
 
 
 def make_ctx(stores, beta=100.0):
@@ -108,8 +109,9 @@ def test_dsalg_pp_refuses_a_huge_budget_before_building_a_table(monkeypatch):
 
 
 def test_dsalg_pp_table_limit_is_inclusive(monkeypatch):
-    # One candidate: the table has 2 x (max_budget + 1) cells, and the
-    # budget stops at floor(beta) below the candidate's cost.
+    # Two candidates: the table has 3 x (max_budget + 1) cells, and the
+    # budget stops at floor(beta) below the candidates' costs. (One
+    # candidate never reaches the table: the closed form answers it.)
     built = []
 
     def spy(items, max_budget):
@@ -117,12 +119,13 @@ def test_dsalg_pp_table_limit_is_inclusive(monkeypatch):
         raise LookupError("stop before the table")
 
     monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", spy)
-    at_limit = PP_MAX_TABLE_CELLS // 2 - 1
+    stores = [(1, 2.0**30, 0.5), (2, 2.0**30, 0.5)]
+    at_limit = PP_MAX_TABLE_CELLS // 3 - 1
     with pytest.raises(LookupError):
-        select_dsalg_pp(make_ctx([(1, 2.0**30, 0.5)], beta=float(at_limit)))
+        select_dsalg_pp(make_ctx(stores, beta=float(at_limit)))
     assert built == [at_limit]
-    with pytest.raises(ValueError, match=f"budget {at_limit + 1} over 1 candidates"):
-        select_dsalg_pp(make_ctx([(1, 2.0**30, 0.5)], beta=float(at_limit + 1)))
+    with pytest.raises(ValueError, match=f"budget {at_limit + 1} over 2 candidates"):
+        select_dsalg_pp(make_ctx(stores, beta=float(at_limit + 1)))
     assert built == [at_limit]
 
 
@@ -178,6 +181,49 @@ def test_pgm_merge_keeps_best_union_per_cost_range():
         (5.0, pytest.approx(0.42)),
     ]
     assert merged[3].ids == ("l2", "l3", "r1")
+
+
+class Unreachable:
+    """A right-list candidate past the range limit, which the merge must
+    never look at."""
+
+    @property
+    def cost(self):
+        raise AssertionError("the merge went on past the range limit")
+
+
+def test_pgm_merge_stops_at_the_first_union_past_the_range_limit():
+    left = [PGM_EMPTY, PgmCandidate(("l1",), 1.0, 0.5)]
+    right = [PGM_EMPTY, PgmCandidate(("r1",), 2.0, 0.5), PgmCandidate(("r2",), 8.0, 0.1), Unreachable()]
+    merged = dss.strategies._merge(left, right, num_ranges=3)
+    assert [(c.ids, c.cost) for c in merged] == [
+        ((), 0.0),
+        (("l1",), 1.0),
+        (("l1", "r1"), 3.0),
+    ]
+
+
+def test_pgm_merge_sorts_an_unsorted_right_list():
+    # The early exit needs right in cost order; the public merge sorts it.
+    left = [PGM_EMPTY]
+    right = [PgmCandidate(("r2",), 9.0, 0.1), PGM_EMPTY, PgmCandidate(("r1",), 2.0, 0.5)]
+    merged = merge_candidate_lists(left, right, num_ranges=3)
+    assert [c.ids for c in merged] == [(), ("r1",)]
+
+
+def test_dsalg_pp_builds_items_only_for_affordable_stores(monkeypatch):
+    seen = []
+
+    def spy(items, max_budget):
+        seen.append((max_budget, sorted(it.id for it in items)))
+        return solve_exact_all_budgets(items, max_budget)
+
+    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", spy)
+    got = select_dsalg_pp(make_ctx([(1, 3.0, 0.2), (2, 100.0, 0.0), (3, 7.0, 0.1)], beta=50.0))
+    assert ids(got) == [1, 3]
+    # The bound is phi({3}) = 7 + 50 * 0.1 = 12, and phi({1, 3}) = 11 is
+    # within one of it, so one pass to budget 12 answers.
+    assert seen == [(12, [1, 3])]
 
 
 def test_pgm_examples_and_domain():
