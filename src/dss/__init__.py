@@ -77,7 +77,6 @@ from .topology import (
     generate_synthetic_topology,
     load_topology,
     min_hop_max_bottleneck,
-    save_topology,
 )
 from .workload import load_trace, save_trace, zipf_trace
 
@@ -145,7 +144,6 @@ __all__ = [
     "generate_synthetic_topology",
     "load_topology",
     "min_hop_max_bottleneck",
-    "save_topology",
     "zipf_trace",
     "load_trace",
     "save_trace",

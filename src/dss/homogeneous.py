@@ -28,10 +28,6 @@ from typing import Iterable, Sequence, TextIO
 
 from .core import misindication_ratio, positive_prob
 
-# Exact integer binomials below this; log-space (lgamma) above.
-_EXACT_COMB_MAX_N = 50
-
-
 @dataclass(frozen=True)
 class HomogeneousParams:
     """Shared-parameter population of stores: n, h, fpr and the miss penalty."""
@@ -77,8 +73,7 @@ def cost_homo(k: int, beta: float, rho: float) -> float:
 def nx_distribution(n: int, q: float) -> list[float]:
     """Pmf of the number of positive indications: Binomial(n, q) as a list.
 
-    Exact integer binomial coefficients for small n; log-space otherwise so
-    large n neither overflows nor underflows.
+    Computed in log space, so large n neither overflows nor underflows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -88,8 +83,6 @@ def nx_distribution(n: int, q: float) -> list[float]:
         return [1.0] + [0.0] * n
     if q == 1.0:
         return [0.0] * n + [1.0]
-    if n <= _EXACT_COMB_MAX_N:
-        return [math.comb(n, k) * q**k * (1.0 - q) ** (n - k) for k in range(n + 1)]
     log_q = math.log(q)
     log_1q = math.log1p(-q)
     log_fact_n = math.lgamma(n + 1)

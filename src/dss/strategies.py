@@ -25,7 +25,9 @@ The rest approximately minimize the expected-cost objective phi:
   candidates), the oracle the others are judged against.
 
 Each of these five refuses what it cannot take, and then answers a context
-of at most one candidate by one closed form, _at_most_one.
+of at most one candidate by one closed form, _at_most_one. pp, umb, pgm and
+opt pick among their proposals by one tie rule, _best_by_phi's: least phi,
+then fewer stores, then lexicographically smaller ids.
 
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
 and the demos all take the strategy set from it.
@@ -234,16 +236,16 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
 
     For every budget B in {0, ..., min(total cost, floor(miss_penalty))} the
     knapsack over log-hit weights proposes the selection with the best hit
-    probability affordable within B; the sweep returns the proposal with the
-    smallest phi (ties toward the smaller budget). One exact dynamic program
-    answers every budget, so the sweep is exact: some budget equals the
-    optimum's total cost.
+    probability affordable within B, and _best_by_phi picks among the
+    distinct proposals. One exact dynamic program answers every budget, so
+    the sweep is exact: some budget equals the optimum's total cost.
 
     A set first proposed at budget B costs exactly B (a cheaper one is
     already the proposal at its own cost), so its phi is at least B. The
     sweep therefore first stops at the floor of _phi_upper_bound, and runs
-    to the end only when its best phi exceeds that width plus one; the
-    answer is the full sweep's either way.
+    to the end only when its best phi is that width plus one or more, where
+    a later set could still tie it; the answer is the full sweep's either
+    way.
     Each pass builds knapsack items only for the stores it can afford: the
     table never takes a costlier one.
     Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells in
@@ -260,6 +262,7 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     one = _at_most_one(ctx)
     if one is not None:
         return one
+    beta = ctx.miss_penalty
     by_id = {p.id: p for p in ctx.candidates}
     width = min(max_budget, math.floor(_phi_upper_bound(ctx)))
     for budget in dict.fromkeys((width, max_budget)):
@@ -268,21 +271,11 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
             for p in ctx.candidates
             if int_costs[p.id] <= budget
         ]
-        per_budget = solve_exact_all_budgets(items, budget)
-        best: Selection | None = None
-        best_phi = math.inf
-        # Budgets often propose the same set; a repeat can never win the
-        # strict comparison, so each distinct set is scored once, in
-        # first-budget order.
-        for chosen_ids in dict.fromkeys(per_budget):
-            sel = _by_id(by_id[i] for i in chosen_ids)
-            value = _phi_by_id(sel, ctx.miss_penalty)
-            if value < best_phi:
-                best, best_phi = sel, value
-        if best_phi <= budget + 1:
+        # Budgets often propose the same set; each distinct one is scored once.
+        proposals = dict.fromkeys(solve_exact_all_budgets(items, budget))
+        best = _best_by_phi(([by_id[i] for i in ids] for ids in proposals), beta)
+        if _phi_by_id(best, beta) < budget + 1:
             break
-    if best is None:
-        raise InvariantError("budget sweep proposed no selection")
     return best
 
 
@@ -429,13 +422,13 @@ def _merge_subtrees(
 def select_pgm(ctx: SelectionContext) -> Selection:
     """Partition-generate-merge approximation.
 
-    Stores are bucketed into dyadic cost bands [2**j, 2**(j+1)) for
-    j < r = ceil(log2(miss_penalty)); each band contributes its
+    Stores are bucketed into dyadic cost bands [2**j, 2**(j+1)) for j < r,
+    the least integer with 2**r >= miss_penalty; each band contributes its
     misindication-sorted prefixes, and bands are merged pairwise up a binary
     tree (odd levels padded with an empty band), each merge keeping the best
     union per dyadic cost range. The root candidate with the smallest phi
     wins. Stores costing 2**r or more are ignored: their cost alone is at
-    least the miss penalty, unless log2 rounded r down.
+    least the miss penalty.
 
     A first pass keeps only the ranges below kept = the dyadic range of
     _phi_upper_bound: it drops the bands and unions that cost 2**kept or
@@ -449,12 +442,11 @@ def select_pgm(ctx: SelectionContext) -> Selection:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
         )
-    num_ranges = math.ceil(math.log2(ctx.miss_penalty))
+    mantissa, exponent = math.frexp(ctx.miss_penalty)
+    num_ranges = exponent - (mantissa == 0.5)
     one = _at_most_one(ctx)
     if one is not None:
-        # log2 can round a miss penalty just above 2**r down to r, so a
-        # store the tree ignores may cost less than the miss penalty.
-        return tuple(p for p in one if _dyadic_range(p.access_cost) <= num_ranges)
+        return one
     kept = min(num_ranges, _dyadic_range(_phi_upper_bound(ctx)))
     best = _pgm_pass(ctx, num_ranges, kept)
     # A candidate's range comes from its cost summed in merge order, phi sums
@@ -497,8 +489,7 @@ _EXHAUSTIVE_LOW_BITS = 16
 def select_exhaustive(ctx: SelectionContext) -> Selection:
     """Brute-force optimum over all subsets of the candidates.
 
-    Guarded to at most EXHAUSTIVE_MAX_CANDIDATES candidates. Ties prefer
-    fewer stores, then lexicographically smaller id tuples.
+    Guarded to at most EXHAUSTIVE_MAX_CANDIDATES candidates.
 
     Subset mask m takes store j (in id order) when bit j of m is set. The
     access sums and miss products of every subset of the first (up to) 16
@@ -541,8 +532,9 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
 
 
 # Every selector by strategy name, in the order reports list them. A selector
-# raises ValueError on a context it cannot take (pp: fractional costs; pgm:
-# beta < 2; opt: more than EXHAUSTIVE_MAX_CANDIDATES candidates).
+# raises ValueError on a context it cannot take (pp: fractional costs, or a
+# table of more than PP_MAX_TABLE_CELLS cells; pgm: beta < 2; opt: more than
+# EXHAUSTIVE_MAX_CANDIDATES candidates).
 STRATEGIES: dict[str, Callable[[SelectionContext], Selection]] = {
     "cpi": select_cpi,
     "epi": select_epi,

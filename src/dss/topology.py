@@ -192,11 +192,6 @@ def format_topology(topology: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_topology(topology: Topology, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_topology(topology))
-
-
 def generate_synthetic_topology(
     n_nodes: int = 19,
     seed: int = 0,

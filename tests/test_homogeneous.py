@@ -65,7 +65,7 @@ def test_nx_distribution_small():
 
 
 def test_nx_distribution_normalized_large_n():
-    # n beyond the exact-binomial cutoff exercises the log-space path
+    # the log-space pmf stays normalized from small n to large
     rng = random.Random(12)
     for _ in range(20):
         n = rng.randint(2, 400)

@@ -39,7 +39,6 @@ from dss.strategies import (
     _by_id,
     _dyadic_range,
     _pgm_pass as pgm_pass,
-    _phi_by_id,
     _prefix_candidates,
     _require_integer_costs,
     merge_candidate_lists,
@@ -116,8 +115,9 @@ def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
 
 
 def reference_pp(ctx):
-    """select_dsalg_pp as it was before its first pass: one sweep over every
-    budget up to min(total cost, floor(beta))."""
+    """select_dsalg_pp as one sweep over every budget up to min(total cost,
+    floor(beta)), without its first pass: of all the budgets' proposals the
+    one with the least phi, then the fewest stores, then the smallest ids."""
     int_costs = _require_integer_costs(ctx)
     by_id = {p.id: p for p in ctx.candidates}
     items = [
@@ -125,13 +125,14 @@ def reference_pp(ctx):
         for p in ctx.candidates
     ]
     max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
-    best, best_phi = None, math.inf
-    for chosen_ids in dict.fromkeys(solve_exact_all_budgets(items, max_budget)):
-        sel = _by_id(by_id[i] for i in chosen_ids)
-        value = _phi_by_id(sel, ctx.miss_penalty)
-        if value < best_phi:
-            best, best_phi = sel, value
-    return best
+    proposals = [
+        tuple(by_id[i] for i in sorted(chosen_ids))
+        for chosen_ids in solve_exact_all_budgets(items, max_budget)
+    ]
+    return min(
+        proposals,
+        key=lambda sel: (phi(sel, ctx.miss_penalty), len(sel), [p.id for p in sel]),
+    )
 
 
 def reference_merge(left, right, num_ranges):
@@ -166,15 +167,23 @@ def reference_merge_subtrees(left, right, num_ranges, leaves):
     return reference_merge(left, right, num_ranges)
 
 
+def exact_range_count(beta):
+    """The least integer r with 2**r >= beta, counted up one power at a time."""
+    r = 0
+    while 2.0**r < beta:
+        r += 1
+    return r
+
+
 def reference_pgm(ctx):
     """select_pgm as it was before its first pass, its closed form for one
-    candidate and its early exit: one merge over every dyadic range below
-    ceil(log2(beta)), trying every pair."""
+    candidate and its early exit: one merge over every dyadic range up to
+    the least r with 2**r >= beta, trying every pair."""
     if ctx.miss_penalty < 2.0:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
         )
-    num_ranges = math.ceil(math.log2(ctx.miss_penalty))
+    num_ranges = exact_range_count(ctx.miss_penalty)
     bands = [[] for _ in range(num_ranges)]
     for p in ctx.candidates:
         j = _dyadic_range(p.access_cost) - 1
@@ -250,13 +259,53 @@ def outcome(select, ctx):
         return str(exc)
 
 
-@given(bounded_contexts())
+@st.composite
+def pooled_integer_contexts(draw):
+    """0-10 stores with integer costs 1-5 and ratios from a small pool with
+    0 in it, so that proposals at different budgets tie on phi."""
+    beta = draw(st.one_of(st.sampled_from([2.0, 3.0, 10.0, 50.0, 100.0]), st.floats(2.0, 1000.0)))
+    costs = st.integers(1, 5).map(float)
+    ratios = st.sampled_from([0.0, 0.01, 0.1, 0.2, 0.25, 0.5])
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=10))
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(ratios)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+# {10, 16} (first proposed at budget 2) and {6} (at budget 3) both have phi
+# exactly 3.0; the smaller set wins the tie.
+PP_TIE_CASE = SelectionContext(
+    (DatastoreProfile(6, 3.0, 0.0), DatastoreProfile(10, 1.0, 0.1), DatastoreProfile(16, 1.0, 0.2)),
+    50.0,
+)
+
+
+@given(st.one_of(bounded_contexts(), pooled_integer_contexts()))
+@example(PP_TIE_CASE)
 def test_pp_equals_the_full_sweep(ctx):
     assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
 
 
 @given(bounded_contexts(integer_costs=False))
 def test_pgm_equals_the_full_merge(ctx):
+    assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+@st.composite
+def contexts_just_above_a_power_of_two(draw):
+    """beta = nextafter(2**r, inf) for r = 1..11, whose log2 rounds down to r
+    from r = 4 on, and 0-6 stores that mostly cost 2**(r-1), 2**r or beta,
+    with rho = 0 among the ratios, so that a store costing 2**r often wins."""
+    r = draw(st.integers(1, 11))
+    beta = math.nextafter(2.0**r, math.inf)
+    costs = st.one_of(st.sampled_from([2.0 ** (r - 1), 2.0**r, beta]), st.floats(1.0, 2.0 * beta))
+    ratios = st.one_of(st.sampled_from([0.0, 0.5, 0.99]), rhos)
+    ids = draw(st.lists(st.integers(0, 99), unique=True, max_size=6))
+    stores = tuple(DatastoreProfile(i, draw(costs), draw(ratios)) for i in ids)
+    return SelectionContext(stores, beta)
+
+
+@given(contexts_just_above_a_power_of_two())
+def test_pgm_equals_the_reference_just_above_a_power_of_two(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
 
 
@@ -308,7 +357,7 @@ def test_a_bound_too_low_forces_both_second_passes():
                 assert passes == []
                 forced["pgm closed"] += 1
                 continue
-            num_ranges = math.ceil(math.log2(beta))
+            num_ranges = exact_range_count(beta)
             if num_ranges > 1 and phi([p for p in ctx.candidates if p.id in want], beta) >= 2:
                 assert passes == [1, num_ranges]
                 forced["pgm"] += 1

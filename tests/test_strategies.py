@@ -232,6 +232,27 @@ def test_pgm_examples_and_domain():
         select_pgm(make_ctx([(1, 1.0, 0.5)], beta=1.5))
 
 
+def test_dsalg_pp_breaks_a_phi_tie_between_budgets_as_opt_does():
+    # {10, 16} (first proposed at budget 2) and {6} (at budget 3) both have
+    # phi exactly 3.0; the shared tie rule takes the smaller set.
+    ctx = make_ctx([(6, 3.0, 0.0), (10, 1.0, 0.1), (16, 1.0, 0.2)], beta=50.0)
+    assert phi(ctx.candidates[:1], 50.0) == phi(ctx.candidates[1:], 50.0) == 3.0
+    assert ids(select_dsalg_pp(ctx)) == [6] == ids(select_exhaustive(ctx))
+
+
+@pytest.mark.parametrize("r", range(2, 12))
+def test_pgm_takes_a_store_costing_the_power_of_two_just_below_beta(r):
+    # From r = 4 on, math.log2 rounds this beta down to r, but the least
+    # integer n with 2**n >= beta is r + 1, so a store costing 2**r counts.
+    beta = math.nextafter(2.0**r, math.inf)
+    store = (0, 2.0**r, 0.0)
+    # The second store loses (phi 1.49 * 2**r), but gives the merge tree a
+    # second band.
+    for stores in ([store], [store, (1, 2.0 ** (r - 1), 0.99)]):
+        ctx = make_ctx(stores, beta)
+        assert ids(select_pgm(ctx)) == [0] == ids(select_exhaustive(ctx))
+
+
 def test_exhaustive_examples():
     assert select_exhaustive(make_ctx([])) == ()
     got = select_exhaustive(make_ctx([(1, 1.0, 0.1), (2, 1.0, 0.2), (3, 1.0, 0.3)]))
