@@ -56,9 +56,7 @@ from .sim import (
 )
 from .strategies import (
     STRATEGIES,
-    PgmCandidate,
     PotentialState,
-    merge_candidate_lists,
     phi,
     potential_state,
     select_cpi,
@@ -125,9 +123,7 @@ __all__ = [
     "run_grid",
     "run_with_baseline",
     "STRATEGIES",
-    "PgmCandidate",
     "PotentialState",
-    "merge_candidate_lists",
     "phi",
     "potential_state",
     "select_cpi",

@@ -15,7 +15,7 @@ The rest approximately minimize the expected-cost objective phi:
   Optimal whenever all access costs are equal.
 - select_dsalg_pp: sweeps every access budget B, solving a knapsack on
   log-hit weights per budget with one exact dynamic program over all
-  budgets; exact on integer costs.
+  budgets; optimal on integer costs, up to the rounding of log-hit weights.
 - select_dsalg_knap: prunes to cost tiers, takes density-ordered prefixes
   and singletons per tier; O(sqrt(miss_penalty))-approximation.
 - select_pgm: partitions stores into dyadic cost bands, keeps the best
@@ -38,8 +38,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,21 +155,27 @@ class PotentialState:
     potentials: tuple[float, ...]
 
 
-def potential_state(ctx: SelectionContext) -> PotentialState:
-    order = tuple(sorted(ctx.candidates, key=_RHO_ID))
-    asc = sorted(p.access_cost for p in ctx.candidates)
-    low = [0.0]
-    high = [0.0]
-    for k in range(len(asc)):
-        low.append(low[-1] + asc[k])
-        high.append(high[-1] + asc[-1 - k])
-    pots = []
+def _potentials(ctx: SelectionContext) -> tuple[list, list[float], list[float]]:
+    """pot's fold: the candidates in (misindication, id) order, their access
+    costs in ascending order, and the potentials P(0), ..., P(n), as lists."""
+    order = sorted(ctx.candidates, key=_RHO_ID)
+    asc = sorted(p.access_cost for p in order)
+    beta = ctx.miss_penalty
+    pots = [beta]
+    access = 0.0
     miss = 1.0
-    for k in range(len(order) + 1):
-        if k > 0:
-            miss *= order[k - 1].mis_ratio
-        pots.append(low[k] + ctx.miss_penalty * miss)
-    return PotentialState(order, tuple(low), tuple(high), tuple(pots))
+    for cost, p in zip(asc, order):
+        access += cost
+        miss *= p.mis_ratio
+        pots.append(access + beta * miss)
+    return order, asc, pots
+
+
+def potential_state(ctx: SelectionContext) -> PotentialState:
+    order, asc, pots = _potentials(ctx)
+    low = accumulate(asc, initial=0.0)
+    high = accumulate(reversed(asc), initial=0.0)
+    return PotentialState(tuple(order), tuple(low), tuple(high), tuple(pots))
 
 
 def select_pot(ctx: SelectionContext) -> Selection:
@@ -176,25 +183,13 @@ def select_pot(ctx: SelectionContext) -> Selection:
 
     Minimizes P(k) = (sum of k cheapest costs) + miss_penalty * (product of
     the k smallest misindication ratios) over k, ties toward smaller k, and
-    returns the first k stores in misindication order. The potentials are
-    potential_state's, folded the same way, without its high_cost_sums.
+    returns the first k stores in misindication order.
     """
     one = _at_most_one(ctx)
     if one is not None:
         return one
-    beta = ctx.miss_penalty
-    order = sorted(ctx.candidates, key=_RHO_ID)
-    asc = sorted(p.access_cost for p in order)
-    k_best, best = 0, beta
-    access = 0.0
-    miss = 1.0
-    for k, (cost, p) in enumerate(zip(asc, order), 1):
-        access += cost
-        miss *= p.mis_ratio
-        value = access + beta * miss
-        if value < best:
-            k_best, best = k, value
-    return _by_id(order[:k_best])
+    order, _, pots = _potentials(ctx)
+    return _by_id(order[: pots.index(min(pots))])
 
 
 def _require_integer_costs(ctx: SelectionContext) -> dict:
@@ -237,8 +232,11 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     For every budget B in {0, ..., min(total cost, floor(miss_penalty))} the
     knapsack over log-hit weights proposes the selection with the best hit
     probability affordable within B, and _best_by_phi picks among the
-    distinct proposals. One exact dynamic program answers every budget, so
-    the sweep is exact: some budget equals the optimum's total cost.
+    distinct proposals. One exact dynamic program answers every budget, and
+    some budget equals the optimum's total cost, so pp's phi equals the
+    optimum's up to the rounding of log-hit weights. Among sets of equal
+    phi, pp can return only one of its per-budget proposals, which need
+    not be opt's.
 
     A set first proposed at budget B costs exactly B (a cheaper one is
     already the proposal at its own cost), so its phi is at least B. The
@@ -322,16 +320,17 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     return _best_by_phi((pool[:t] for value, pool, t in scored if value <= limit), beta)
 
 
-@dataclass(frozen=True)
-class PgmCandidate:
-    """Partial selection carried through the partition-merge tree."""
+class PgmCandidate(NamedTuple):
+    """Partial selection carried through the partition-merge tree. Tuple
+    order is the merge's tie rule: least misindication product, then least
+    cost, then lexicographic ids."""
 
-    ids: tuple
-    cost: float
     mis_product: float
+    cost: float
+    ids: tuple
 
 
-PGM_EMPTY = PgmCandidate((), 0.0, 1.0)
+PGM_EMPTY = PgmCandidate(1.0, 0.0, ())
 
 
 def _dyadic_range(cost: float) -> int:
@@ -339,31 +338,23 @@ def _dyadic_range(cost: float) -> int:
     return math.frexp(cost)[1]
 
 
-def merge_candidate_lists(
+def _merge(
     left: Sequence[PgmCandidate], right: Sequence[PgmCandidate], num_ranges: int
 ) -> list[PgmCandidate]:
     """Merge two candidate lists, keeping the best union per dyadic range.
 
     Every pairwise union (disjoint by construction, so costs add and
     misindication products multiply) lands in the dyadic cost range
-    [2**(t-1), 2**t); per range the union with the smallest misindication
-    product survives (ties: smaller cost, then lexicographic ids). Unions
-    costing 2**num_ranges or more are dropped, and the empty candidate is
-    always retained.
+    [2**(t-1), 2**t); per range the least union in tuple order survives.
+    Unions costing 2**num_ranges or more are dropped, and the empty
+    candidate is always retained.
+
+    ``right`` must be in nondecreasing cost order, as every list the merge
+    tree builds is. Then once a union costs 2**num_ranges or more, so does
+    every union of the same left candidate with a later right one, and the
+    inner loop stops there.
     """
-    return _merge(left, sorted(right, key=attrgetter("cost")), num_ranges)
-
-
-def _merge(
-    left: Sequence[PgmCandidate], right: Sequence[PgmCandidate], num_ranges: int
-) -> list[PgmCandidate]:
-    """merge_candidate_lists of a right list in nondecreasing cost order.
-
-    Every list the merge tree builds is in that order. So once a union costs
-    2**num_ranges or more, so does every union of the same left candidate
-    with a later right one, and the inner loop stops there.
-    """
-    best: dict[int, tuple] = {}  # range -> (mis_product, cost, ids)
+    best: dict[int, PgmCandidate] = {}
     for a in left:
         for b in right:
             cost = a.cost + b.cost
@@ -374,14 +365,12 @@ def _merge(
                 break
             mis = a.mis_product * b.mis_product
             cur = best.get(t)
-            if cur is not None and (mis, cost) > (cur[0], cur[1]):
+            if cur is not None and (mis, cost) > cur[:2]:
                 continue
-            ids = tuple(sorted(a.ids + b.ids))
-            if cur is None or (mis, cost, ids) < cur:
-                best[t] = (mis, cost, ids)
-    return [PGM_EMPTY] + [
-        PgmCandidate(ids, cost, mis) for _, (mis, cost, ids) in sorted(best.items())
-    ]
+            union = PgmCandidate(mis, cost, tuple(sorted(a.ids + b.ids)))
+            if cur is None or union < cur:
+                best[t] = union
+    return [PGM_EMPTY] + [best[t] for t in sorted(best)]
 
 
 def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
@@ -395,7 +384,7 @@ def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
         bisect.insort(ids, p.id)
         cost += p.access_cost
         miss *= p.mis_ratio
-        out.append(PgmCandidate(tuple(ids), cost, miss))
+        out.append(PgmCandidate(miss, cost, tuple(ids)))
     return out
 
 

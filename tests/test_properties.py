@@ -38,10 +38,10 @@ from dss.strategies import (
     _best_by_phi,
     _by_id,
     _dyadic_range,
+    _merge,
     _pgm_pass as pgm_pass,
     _prefix_candidates,
     _require_integer_costs,
-    merge_candidate_lists,
     phi,
     potential_state,
     select_dsalg_knap,
@@ -136,8 +136,8 @@ def reference_pp(ctx):
 
 
 def reference_merge(left, right, num_ranges):
-    """merge_candidate_lists as it was before its early exit: every pair of
-    candidates is tried, whatever the lists' order."""
+    """_merge as it was before its early exit: every pair of candidates is
+    tried, whatever the lists' order."""
     best = {}
     for a in left:
         for b in right:
@@ -153,7 +153,7 @@ def reference_merge(left, right, num_ranges):
                 continue
             ids = tuple(sorted(a.ids + b.ids))
             if cur is None or (mis, cost, ids) < (cur.mis_product, cur.cost, cur.ids):
-                best[t] = PgmCandidate(ids, cost, mis)
+                best[t] = PgmCandidate(mis_product=mis, cost=cost, ids=ids)
     return [PGM_EMPTY] + [best[t] for t in sorted(best)]
 
 
@@ -217,12 +217,31 @@ def reference_knap(ctx):
     return _best_by_phi(proposals, ctx.miss_penalty)
 
 
+def reference_potential_state(ctx):
+    """potential_state as it was before it shared pot's fold: its (order,
+    low_cost_sums, high_cost_sums, potentials), each folded here."""
+    order = tuple(sorted(ctx.candidates, key=lambda p: (p.mis_ratio, p.id)))
+    asc = sorted(p.access_cost for p in ctx.candidates)
+    low = [0.0]
+    high = [0.0]
+    for k in range(len(asc)):
+        low.append(low[-1] + asc[k])
+        high.append(high[-1] + asc[-1 - k])
+    pots = []
+    miss = 1.0
+    for k in range(len(order) + 1):
+        if k > 0:
+            miss *= order[k - 1].mis_ratio
+        pots.append(low[k] + ctx.miss_penalty * miss)
+    return order, tuple(low), tuple(high), tuple(pots)
+
+
 def reference_pot(ctx):
     """select_pot as it was before its closed form: the argmin of
-    potential_state's potentials, ties toward fewer stores."""
-    state = potential_state(ctx)
-    k_best = min(range(len(state.potentials)), key=lambda k: (state.potentials[k], k))
-    return _by_id(state.order[:k_best])
+    reference_potential_state's potentials, ties toward fewer stores."""
+    order, _, _, potentials = reference_potential_state(ctx)
+    k_best = min(range(len(potentials)), key=lambda k: (potentials[k], k))
+    return _by_id(order[:k_best])
 
 
 @st.composite
@@ -407,22 +426,35 @@ def test_pot_equals_the_reference(ctx):
     assert select_pot(ctx) == reference_pot(ctx)
 
 
+@given(pooled_contexts())
+def test_potential_state_equals_the_reference_bit_for_bit(ctx):
+    state = potential_state(ctx)
+    order, low, high, potentials = reference_potential_state(ctx)
+    assert state.order == order
+    for got, want in ((state.low_cost_sums, low), (state.high_cost_sums, high),
+                      (state.potentials, potentials)):
+        assert isinstance(got, tuple)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @st.composite
-def pgm_candidate_lists(draw, first_id):
-    """The empty candidate, then up to 6 candidates in any cost order, with
-    ids drawn from first_id .. first_id + 49."""
+def pgm_candidate_lists(draw, first_id, in_cost_order=False):
+    """The empty candidate and up to 6 more, with ids drawn from first_id ..
+    first_id + 49, in nondecreasing cost order or in any order."""
     out = [PGM_EMPTY]
     for _ in range(draw(st.integers(0, 6))):
         ids = draw(st.lists(st.integers(first_id, first_id + 49), unique=True, min_size=1, max_size=3))
         cost = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.5, 4.0, 7.0, 8.0, 20.0]), st.floats(1.0, 40.0)))
         mis = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-        out.append(PgmCandidate(tuple(sorted(ids)), cost, mis))
+        out.append(PgmCandidate(mis_product=mis, cost=cost, ids=tuple(sorted(ids))))
+    if in_cost_order:
+        return sorted(out, key=lambda c: c.cost)
     return draw(st.permutations(out))
 
 
-@given(pgm_candidate_lists(0), pgm_candidate_lists(50), st.integers(1, 6))
-def test_pgm_merge_of_unsorted_lists_equals_the_reference(left, right, num_ranges):
-    assert merge_candidate_lists(left, right, num_ranges) == reference_merge(left, right, num_ranges)
+@given(pgm_candidate_lists(0), pgm_candidate_lists(50, in_cost_order=True), st.integers(1, 6))
+def test_pgm_merge_of_a_cost_ordered_right_list_equals_the_reference(left, right, num_ranges):
+    assert _merge(left, right, num_ranges) == reference_merge(left, right, num_ranges)
 
 
 def small_context_values():

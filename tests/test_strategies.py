@@ -16,7 +16,7 @@ from dss.strategies import (
     STRATEGIES,
     PgmCandidate,
     _best_by_phi,
-    merge_candidate_lists,
+    _merge,
     phi,
     potential_state,
     select_cpi,
@@ -169,11 +169,11 @@ def test_best_by_phi_on_an_empty_family_is_an_invariant_error():
 def test_pgm_merge_keeps_best_union_per_cost_range():
     left = [
         PGM_EMPTY,
-        PgmCandidate(("l1",), 1.0, 0.9),
-        PgmCandidate(("l2", "l3"), 2.0, 0.6),
+        PgmCandidate(mis_product=0.9, cost=1.0, ids=("l1",)),
+        PgmCandidate(mis_product=0.6, cost=2.0, ids=("l2", "l3")),
     ]
-    right = [PGM_EMPTY, PgmCandidate(("r1",), 3.0, 0.7)]
-    merged = merge_candidate_lists(left, right, num_ranges=3)
+    right = [PGM_EMPTY, PgmCandidate(mis_product=0.7, cost=3.0, ids=("r1",))]
+    merged = _merge(left, right, num_ranges=3)
     assert merged[0] is PGM_EMPTY
     assert [(c.cost, c.mis_product) for c in merged[1:]] == [
         (1.0, 0.9),
@@ -193,22 +193,19 @@ class Unreachable:
 
 
 def test_pgm_merge_stops_at_the_first_union_past_the_range_limit():
-    left = [PGM_EMPTY, PgmCandidate(("l1",), 1.0, 0.5)]
-    right = [PGM_EMPTY, PgmCandidate(("r1",), 2.0, 0.5), PgmCandidate(("r2",), 8.0, 0.1), Unreachable()]
-    merged = dss.strategies._merge(left, right, num_ranges=3)
+    left = [PGM_EMPTY, PgmCandidate(mis_product=0.5, cost=1.0, ids=("l1",))]
+    right = [
+        PGM_EMPTY,
+        PgmCandidate(mis_product=0.5, cost=2.0, ids=("r1",)),
+        PgmCandidate(mis_product=0.1, cost=8.0, ids=("r2",)),
+        Unreachable(),
+    ]
+    merged = _merge(left, right, num_ranges=3)
     assert [(c.ids, c.cost) for c in merged] == [
         ((), 0.0),
         (("l1",), 1.0),
         (("l1", "r1"), 3.0),
     ]
-
-
-def test_pgm_merge_sorts_an_unsorted_right_list():
-    # The early exit needs right in cost order; the public merge sorts it.
-    left = [PGM_EMPTY]
-    right = [PgmCandidate(("r2",), 9.0, 0.1), PGM_EMPTY, PgmCandidate(("r1",), 2.0, 0.5)]
-    merged = merge_candidate_lists(left, right, num_ranges=3)
-    assert [c.ids for c in merged] == [(), ("r1",)]
 
 
 def test_dsalg_pp_builds_items_only_for_affordable_stores(monkeypatch):
@@ -238,6 +235,26 @@ def test_dsalg_pp_breaks_a_phi_tie_between_budgets_as_opt_does():
     ctx = make_ctx([(6, 3.0, 0.0), (10, 1.0, 0.1), (16, 1.0, 0.2)], beta=50.0)
     assert phi(ctx.candidates[:1], 50.0) == phi(ctx.candidates[1:], 50.0) == 3.0
     assert ids(select_dsalg_pp(ctx)) == [6] == ids(select_exhaustive(ctx))
+
+
+def test_dsalg_pp_can_miss_a_set_of_equal_phi_that_no_budget_proposes():
+    # {6, 65} and {7} both cost 2, their log-hit weights tie and their phi
+    # is 2.16 bit for bit, but budget 2 proposes only {6, 65}, by smaller ids.
+    ctx = make_ctx([(6, 1.0, 0.1), (65, 1.0, 0.1), (7, 2.0, 0.01)], beta=16.0)
+    pp, opt = select_dsalg_pp(ctx), select_exhaustive(ctx)
+    assert ids(pp) == [6, 65] and ids(opt) == [7]
+    assert phi(pp, 16.0).hex() == phi(opt, 16.0).hex() == (2.16).hex()
+
+
+def test_dsalg_pp_can_be_an_ulp_above_the_optimum():
+    # {10, 63} and {67} both cost 5 and their log-hit weights tie, but 0.1 *
+    # 0.1 rounds to 0.010000000000000002 > 0.01, so pp's phi is one ulp above.
+    beta = 127.18284910450734
+    ctx = make_ctx([(10, 2.0, 0.1), (63, 3.0, 0.1), (67, 5.0, 0.01)], beta=beta)
+    pp, opt = select_dsalg_pp(ctx), select_exhaustive(ctx)
+    assert ids(pp) == [10, 63] and ids(opt) == [67]
+    assert phi(opt, beta) == 6.271828491045073
+    assert phi(pp, beta) == 6.271828491045074 == math.nextafter(phi(opt, beta), math.inf)
 
 
 @pytest.mark.parametrize("r", range(2, 12))
