@@ -3,21 +3,27 @@
 Selecting stores to maximize the chance of a hit under an access budget is a
 knapsack: give each store the weight w = -log2(rho), so maximizing the summed
 weight minimizes the product of misindication ratios. Costs here are integer
-access costs. The exact solver is the classic dynamic program, built once up
-to a largest budget so that it answers every smaller budget too
-(solve_exact_all_budgets; solve_exact reads its last entry). The greedy
-profit-density solver is the textbook 2-approximation.
+access costs. The exact solver answers every budget up to a largest one in
+one pass (solve_exact_all_budgets; solve_exact reads its last entry). It is a
+list dynamic program in the manner of Nemhauser and Ullmann (Management
+Science, 1969): each suffix of the items keeps its optimum as a step function
+of the budget, one run per stretch of budgets that choose the same ids, so
+its work follows the number of runs; only the returned list has one entry
+per budget. The greedy profit-density solver is the textbook
+2-approximation.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-
-import numpy as np
+from operator import attrgetter, itemgetter
 
 from .core import RHO_MAX, RHO_MIN
+
+_ID = attrgetter("id")
+_START = itemgetter(0)
 
 
 def log_hit_weight(rho: float) -> float:
@@ -68,53 +74,81 @@ class KnapsackInstance:
 def solve_exact_all_budgets(
     items: tuple[KnapsackItem, ...] | list[KnapsackItem], max_budget: int
 ) -> list[frozenset]:
-    """Optimal item ids for every budget 0..max_budget, from one table.
+    """Optimal item ids for every budget 0..max_budget, as runs of budgets.
 
-    Items are taken in id order; suffix row i holds the best profit from
-    items i onward within each budget. Cell (i, b) never depends on cells
-    with larger b, so the table built at max_budget answers every smaller
-    budget as a dedicated solve would.
+    Items are taken in id order, and the program goes through their suffixes
+    from the last item back. A suffix's answer is a step function of the
+    budget: a list of runs (first budget, best profit, id tuple), one per
+    stretch of budgets that choose the same ids, starting from the empty
+    suffix's one run (0, 0.0, ()). Item i of cost c and profit w merges two
+    step functions of the next suffix's list: skip i (the list unchanged)
+    and take i (every run shifted up by c, with w added and i prepended).
+    A budget never depends on larger ones, so the list built up to
+    max_budget answers every smaller budget as a dedicated solve would.
 
     Each budget gets its lexicographically smallest optimal id set (over
-    sorted id tuples). Two rules give that: stop once the profit still
-    achievable is 0 (a proper prefix precedes every extension), and
-    otherwise take the current item whenever an optimal completion goes
-    through it (a smaller leading id precedes every larger one). While
-    each row is built, decide[i, b] records that take test on the very
-    float sums the row was built from, so no tolerance is needed: the item
-    fits, an optimal completion goes through it, and the row is not 0
-    there. The walk follows those decisions for all budgets together.
-    Once a row reads 0 at a walk's remaining budget every later row does
-    too, so that last test is the stop rule. A run of budgets that choose
-    the same ids shares one set.
+    sorted id tuples). At each budget b where either step function starts
+    a run, i is taken iff it fits (b >= c), the take profit is at least the
+    skip profit, and the take profit is not 0. Taking i whenever an optimal
+    completion goes through it puts the smaller leading id first, and
+    leaving it when nothing is left to gain puts a proper prefix before
+    its extensions. Both tests compare the very float sums the profits
+    were built from (skip's profit at b - c, plus w), so no tolerance is
+    needed. Neighbouring runs that choose the same ids are one run, and
+    the budgets of a run share one frozenset.
     """
     if max_budget < 0:
         raise ValueError(f"max_budget must be >= 0, got {max_budget}")
-    ordered = sorted(items, key=lambda it: it.id)
-    width = max_budget + 1
-    decide = np.zeros((len(ordered), width), dtype=bool)
-    row = np.zeros(width)
-    for i in range(len(ordered) - 1, -1, -1):
-        c, w = ordered[i].cost, ordered[i].profit
-        if c > max_budget:
-            continue
-        take = row[: width - c] + w
-        nxt, row = row, row.copy()
-        np.maximum(nxt[c:], take, out=row[c:])
-        decide[i, c:] = (take == row[c:]) & (row[c:] != 0.0)
-    remaining = np.arange(width)
-    taken = np.empty_like(decide)
-    for i, item in enumerate(ordered):
-        decide[i].take(remaining, out=taken[i])
-        np.subtract(remaining, item.cost, out=remaining, where=taken[i])
-    ids = [it.id for it in ordered]
-    # Budgets in a run of equal columns share one set.
-    starts = np.flatnonzero((taken[:, 1:] != taken[:, :-1]).any(axis=0)) + 1
-    bounds = [0, *starts.tolist(), width]
+    runs = [(0, 0.0, ())]
+    for item in reversed(sorted(items, key=_ID)):
+        if item.cost <= max_budget:
+            runs = _take_or_skip(runs, item, max_budget)
     sets = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sets += [frozenset(compress(ids, taken[:, lo].tolist()))] * (hi - lo)
+    ends = [run[0] for run in runs[1:]] + [max_budget + 1]
+    for (start, _, ids), end in zip(runs, ends):
+        sets += [frozenset(ids)] * (end - start)
     return sets
+
+
+def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
+    """The runs of item's suffix, from the runs of the suffix after it.
+
+    The runs that start below the item's cost are kept as they are. From
+    there on, the budgets where a skip run or a take run (a skip run shifted
+    by the cost) starts are walked in order. A budget whose choice comes
+    from the same skip or take run as the budget before it extends that
+    run, so neighbouring runs always choose different ids.
+    """
+    item_id, profit, cost = item.id, item.profit, item.cost
+    stop = max_budget + 1
+    n = len(runs)
+    s = bisect_left(runs, cost, key=_START)
+    out = runs[:s]
+    skip = runs[s - 1]
+    source = s  # s while in skip run s - 1, -t while in take run t - 1
+    skip_next = runs[s][0] if s < n else stop
+    t = 0
+    take_next = cost
+    while True:
+        budget = skip_next if skip_next < take_next else take_next
+        if budget >= stop:
+            return out
+        if skip_next == budget:
+            skip = runs[s]
+            s += 1
+            skip_next = runs[s][0] if s < n else stop
+        if take_next == budget:
+            take = runs[t]
+            t += 1
+            take_next = runs[t][0] + cost if t < n else stop
+        value = take[1] + profit
+        if value >= skip[1] and value != 0.0:
+            if source != -t:
+                source = -t
+                out.append((budget, value, (item_id, *take[2])))
+        elif source != s:
+            source = s
+            out.append((budget, skip[1], skip[2]))
 
 
 def solve_exact(instance: KnapsackInstance) -> frozenset:

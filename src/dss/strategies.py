@@ -55,8 +55,9 @@ Selection = tuple[DatastoreProfile, ...]
 
 EXHAUSTIVE_MAX_CANDIDATES = 20
 
-# The budget sweep's table has (candidates + 1) x (max budget + 1) cells;
-# pp refuses a context that needs more.
+# pp refuses a context whose (candidates + 1) x (max budget + 1) cells number
+# more than this. The knapsack keeps runs of budgets, not a table of cells,
+# but it returns one list entry per budget, so the count bounds that list.
 PP_MAX_TABLE_CELLS = 1 << 24
 
 
@@ -245,9 +246,9 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     a later set could still tie it; the answer is the full sweep's either
     way.
     Each pass builds knapsack items only for the stores it can afford: the
-    table never takes a costlier one.
-    Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells in
-    the (candidates + 1) x (budgets + 1) table.
+    knapsack never takes a costlier one.
+    Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells of
+    (candidates + 1) x (budgets + 1), which bounds the per-budget list.
     """
     int_costs = _require_integer_costs(ctx)
     max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
@@ -521,8 +522,8 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
 
 
 # Every selector by strategy name, in the order reports list them. A selector
-# raises ValueError on a context it cannot take (pp: fractional costs, or a
-# table of more than PP_MAX_TABLE_CELLS cells; pgm: beta < 2; opt: more than
+# raises ValueError on a context it cannot take (pp: fractional costs, or
+# more than PP_MAX_TABLE_CELLS cells; pgm: beta < 2; opt: more than
 # EXHAUSTIVE_MAX_CANDIDATES candidates).
 STRATEGIES: dict[str, Callable[[SelectionContext], Selection]] = {
     "cpi": select_cpi,

@@ -213,14 +213,55 @@ def test_all_budgets_with_zero_profits_and_unaffordable_items():
         assert solve_exact(KnapsackInstance(budget, items)) == chosen
 
 
-def test_all_budgets_memory_is_set_by_the_table_not_per_budget_objects():
-    # One item at 2**18 budgets: a table of a few MiB. One Python object per
-    # budget would take about 43 MiB.
+def test_all_budgets_on_a_run_per_budget_and_a_tied_twin():
+    # Costs 1, 2, 4, ..., 128 at one profit density: every subset costs a
+    # different amount, so the optimum at budget b is the subset costing b,
+    # and the 256 budgets up to 255 are 256 runs. Item 9 is item 3's twin
+    # (same cost, same profit) under a larger id, so sets that swap one for
+    # the other, or {3, 9} for {4}, tie exactly and the tie rule decides.
+    items = [KnapsackItem(j + 1, 0.37 * 2**j, 2**j) for j in range(8)]
+    costs = {it.id: it.cost for it in items}
+    table = solve_exact_all_budgets(items, 255)
+    assert len({id(chosen) for chosen in table}) == 256
+    for budget, chosen in enumerate(table):
+        assert sum(costs[i] for i in chosen) == budget
+        assert chosen == reference_solve(items, budget)
+    twin = [*items, KnapsackItem(9, items[2].profit, items[2].cost)]
+    table = solve_exact_all_budgets(twin, 300)
+    assert table[4] == {3} and table[8] == {3, 9}
+    for budget, chosen in enumerate(table):
+        assert chosen == reference_solve(twin, budget)
+
+
+def _traced_peak(items, max_budget):
     tracemalloc.start()
     try:
-        table = solve_exact_all_budgets([KnapsackItem(1, 1.0, 3)], 2**18)
+        table = solve_exact_all_budgets(items, max_budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return table, peak
+
+
+def test_all_budgets_memory_follows_the_runs_not_the_budgets():
+    # The answer is one list entry per budget, and one frozenset and one run
+    # per stretch of budgets that choose the same ids. One item at 2**18
+    # budgets is 2 runs (2 MiB of list); one Python object per budget would
+    # take about 43 MiB.
+    table, peak = _traced_peak([KnapsackItem(1, 1.0, 3)], 2**18)
     assert table[2] == frozenset() and table[3] == table[-1] == frozenset({1})
     assert peak < 24 * 2**20
+    # 19 items at 2**20 budgets: an 8 MiB list over 92 runs, one frozenset
+    # each. A table of n x budgets cells (floats for the profits, flags for
+    # the choices) would peak near 90 MiB.
+    items = [KnapsackItem(j, 1.0 + j % 5, 30_000 + 2_000 * j) for j in range(19)]
+    costs = {it.id: it.cost for it in items}
+    table, peak = _traced_peak(items, 2**20)
+    assert peak < 32 * 2**20
+    assert table[-1] == {it.id for it in items}
+    seen = set()
+    for budget, chosen in enumerate(table):
+        if chosen not in seen:
+            seen.add(chosen)
+            assert sum(costs[i] for i in chosen) == budget
+    assert len(seen) == len({id(chosen) for chosen in table}) == 92
