@@ -296,10 +296,9 @@ def run(
         access_total += paid
         if not hit:
             misses += 1
-            indexes = block.tolist()
             for j in ranking[:k].tolist():
                 if not stores[j].holds(item):
-                    stores[j].insert(item, indexes[j * NUM_HASHES:(j + 1) * NUM_HASHES])
+                    stores[j].insert(item, block[j * NUM_HASHES:(j + 1) * NUM_HASHES].tolist())
         if log is not None:
             log.append((item, client, tuple(chosen), paid, hit))
 

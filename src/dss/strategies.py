@@ -292,6 +292,10 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     proposal-order phi differs from the id-order phi by rounding only, far
     below a relative 1e-12, so just the proposals within 1e-12 of the least
     go on to _best_by_phi, which rescores them in id order.
+    phi is at least the access sum, and the least phi only falls as the fold
+    goes on, so once a prefix's access sum exceeds that window around the
+    least phi so far, neither it nor a longer prefix of its tier is
+    proposed: the tier's fold, and its pool, stop there.
     """
     one = _at_most_one(ctx)
     if one is not None:
@@ -307,17 +311,28 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     # single too, so each single is proposed once.
     scored = [(beta, candidates, 0)]
     scored += ((p.access_cost + beta * p.mis_ratio, (p,), 1) for p in candidates)
-    for tier in sorted({p.access_cost for p in candidates}):
-        pool = [p for p in density if p.access_cost <= tier]
-        access = 0.0
-        miss = 1.0
-        for t, p in enumerate(pool, 1):
-            access += p.access_cost
-            miss *= p.mis_ratio
-            if t > 1:
-                scored.append((access + beta * miss, pool, t))
     least = min(scored, key=itemgetter(0))[0]
     limit = least + least * 1e-12
+    for tier in sorted({p.access_cost for p in candidates}):
+        # Only ever appended to, so pool[:t] stays the prefix scored at t.
+        pool = []
+        access = 0.0
+        miss = 1.0
+        for p in density:
+            cost = p.access_cost
+            if cost > tier:
+                continue
+            access += cost
+            if access > limit:
+                break
+            miss *= p.mis_ratio
+            pool.append(p)
+            if len(pool) > 1:
+                value = access + beta * miss
+                scored.append((value, pool, len(pool)))
+                if value < least:
+                    least = value
+                    limit = least + least * 1e-12
     return _best_by_phi((pool[:t] for value, pool, t in scored if value <= limit), beta)
 
 
@@ -348,30 +363,38 @@ def _merge(
     misindication products multiply) lands in the dyadic cost range
     [2**(t-1), 2**t); per range the least union in tuple order survives.
     Unions costing 2**num_ranges or more are dropped, and the empty
-    candidate is always retained.
+    candidate is always retained. A union with the empty candidate is the
+    other candidate itself (x * 1.0 and x + 0.0 are x exactly, and its ids
+    are already sorted), so that candidate is kept as it is.
 
     ``right`` must be in nondecreasing cost order, as every list the merge
     tree builds is. Then once a union costs 2**num_ranges or more, so does
     every union of the same left candidate with a later right one, and the
     inner loop stops there.
     """
-    best: dict[int, PgmCandidate] = {}
+    limit = math.ldexp(1.0, num_ranges)
+    best: list[PgmCandidate | None] = [None] * (num_ranges + 1)
     for a in left:
         for b in right:
             cost = a.cost + b.cost
+            if cost >= limit:
+                break
             if cost < 1.0:
                 continue  # only the empty-empty union; kept separately
             t = _dyadic_range(cost)
-            if t > num_ranges:
-                break
             mis = a.mis_product * b.mis_product
-            cur = best.get(t)
+            cur = best[t]
             if cur is not None and (mis, cost) > cur[:2]:
                 continue
-            union = PgmCandidate(mis, cost, tuple(sorted(a.ids + b.ids)))
+            if not b.ids:
+                union = a
+            elif not a.ids:
+                union = b
+            else:
+                union = PgmCandidate(mis, cost, tuple(sorted(a.ids + b.ids)))
             if cur is None or union < cur:
                 best[t] = union
-    return [PGM_EMPTY] + [best[t] for t in sorted(best)]
+    return [PGM_EMPTY] + [c for c in best if c is not None]
 
 
 def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:

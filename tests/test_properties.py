@@ -457,6 +457,102 @@ def test_pgm_merge_of_a_cost_ordered_right_list_equals_the_reference(left, right
     assert _merge(left, right, num_ranges) == reference_merge(left, right, num_ranges)
 
 
+def test_pgm_merge_drops_a_union_costing_exactly_two_to_the_num_ranges():
+    """A union costing 2**num_ranges is dropped; one an ulp cheaper lands in
+    the last range and, having the least product there, is its best."""
+    a = PgmCandidate(mis_product=0.5, cost=4.0, ids=(1,))
+    b = PgmCandidate(mis_product=0.5, cost=4.0, ids=(0,))
+    merged = _merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == [PGM_EMPTY, b]
+    b = b._replace(cost=math.nextafter(8.0, 0.0) - 4.0)
+    union = PgmCandidate(mis_product=0.25, cost=math.nextafter(8.0, 0.0), ids=(0, 1))
+    merged = _merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == [PGM_EMPTY, b, union]
+
+
+@given(pgm_candidate_lists(0), st.integers(1, 6), st.booleans())
+def test_pgm_merge_with_the_empty_list_keeps_the_inputs_own_candidates(cands, num_ranges, on_left):
+    """Merging with [PGM_EMPTY], on either side, returns the other list's own
+    candidate objects, not rebuilt copies, and equals the reference."""
+    if on_left:
+        cands = sorted(cands, key=lambda c: c.cost)
+        left, right = [PGM_EMPTY], cands
+    else:
+        left, right = cands, [PGM_EMPTY]
+    merged = _merge(left, right, num_ranges)
+    assert merged == reference_merge(left, right, num_ranges)
+    assert all(any(c is own for own in cands) for c in merged)
+
+
+def umb_window_edge_case(least, ulps):
+    """Store 1 (rho 0, cost L = ``least``) is the least single, at phi L.
+    Store 0 comes first in density order, so umb's two-store prefix is
+    {0, 1}: its access sum, and its phi too since rho is 0, is ``ulps`` ulps
+    from the edge of umb's window, L + L * 1e-12."""
+    access = least + least * 1e-12
+    for _ in range(abs(ulps)):
+        access = math.nextafter(access, math.copysign(math.inf, ulps))
+    stores = (
+        DatastoreProfile(0, access - least, 0.5),
+        DatastoreProfile(1, least, 0.0),
+    )
+    ctx = SelectionContext(stores, 4.0 * least)
+    assert stores[0].access_cost + stores[1].access_cost == access
+    assert phi(stores, ctx.miss_penalty) == access
+    return ctx
+
+
+def umb_proposals(ctx):
+    """select_dsalg_knap's answer and the id tuples it passes to _best_by_phi."""
+    proposed = []
+    real = dss.strategies._best_by_phi
+
+    def spy(candidates, miss_penalty):
+        candidates = [list(c) for c in candidates]
+        proposed.extend(tuple(p.id for p in c) for c in candidates)
+        return real(candidates, miss_penalty)
+
+    with mock.patch.object(dss.strategies, "_best_by_phi", spy):
+        chosen = select_dsalg_knap(ctx)
+    return chosen, proposed
+
+
+def test_umb_proposes_a_prefix_whose_phi_is_the_window_edge():
+    """A prefix whose access sum is exactly the window's edge, L + L * 1e-12,
+    has that phi (a store in it has rho 0), so umb must not stop before it."""
+    ctx = umb_window_edge_case(2.0**40, 0)
+    chosen, proposed = umb_proposals(ctx)
+    assert chosen == reference_knap(ctx) == (ctx.candidates[1],)
+    assert sorted(proposed) == [(0, 1), (1,)]
+
+
+def test_umb_stops_one_ulp_above_the_window_edge():
+    """One ulp past the edge, the prefix {0, 1} is out of the window."""
+    ctx = umb_window_edge_case(2.0**40, 1)
+    chosen, proposed = umb_proposals(ctx)
+    assert chosen == reference_knap(ctx) == (ctx.candidates[1],)
+    assert proposed == [(1,)]
+
+
+@given(
+    st.floats(2.0**40, 2.0**60),
+    st.integers(-2, 2),
+    st.lists(st.tuples(st.floats(1.0, 2.0**62), rhos), max_size=6),
+)
+def test_umb_equals_the_reference_at_the_window_edge(least, ulps, extra):
+    """umb_window_edge_case's two stores plus up to six more: whatever the
+    least phi turns out to be, umb's early stop leaves its answer equal to
+    the reference's."""
+    base = umb_window_edge_case(least, ulps)
+    stores = base.candidates + tuple(
+        DatastoreProfile(i, cost, rho) for i, (cost, rho) in enumerate(extra, 2)
+    )
+    ctx = SelectionContext(stores, base.miss_penalty)
+    assert select_dsalg_knap(ctx) == reference_knap(ctx)
+
+
 def small_context_values():
     """Every miss penalty, cost and ratio of the closed-form sweep: costs at
     beta, at floor(beta) and just past it, fractional costs, ratios at 0 and
