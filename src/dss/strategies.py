@@ -372,16 +372,15 @@ def _merge(
     every union of the same left candidate with a later right one, and the
     inner loop stops there.
     """
-    limit = math.ldexp(1.0, num_ranges)
     best: list[PgmCandidate | None] = [None] * (num_ranges + 1)
     for a in left:
         for b in right:
             cost = a.cost + b.cost
-            if cost >= limit:
-                break
             if cost < 1.0:
                 continue  # only the empty-empty union; kept separately
             t = _dyadic_range(cost)
+            if t > num_ranges:
+                break
             mis = a.mis_product * b.mis_product
             cur = best[t]
             if cur is not None and (mis, cost) > cur[:2]:

@@ -154,6 +154,17 @@ def test_select_reports_pp_unavailable_on_a_huge_budget(tmp_path, capsys):
     )
 
 
+def test_select_at_a_beta_near_the_float_ceiling(tmp_path, capsys):
+    """beta 1.7e308 gives pgm 1024 dyadic ranges; every strategy still answers."""
+    ctx = write_context(tmp_path / "ctx.yaml", [(0, 1, 0.9), (1, 2, 0.9)], beta=1.7e308)
+    code, out, err = run_cli(["select", "--context", ctx], capsys)
+    assert code == 0
+    assert err == ""
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines] == list(STRATEGIES)
+    assert lines[list(STRATEGIES).index("pgm")].split()[1] == "0,1"
+
+
 def test_select_reports_every_strategy_in_table_order(tmp_path, capsys):
     stores = [(j, 1 + j % 4, 0.5) for j in range(EXHAUSTIVE_MAX_CANDIDATES + 1)]
     ctx = write_context(tmp_path / "ctx.yaml", stores)

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -168,9 +169,10 @@ def reference_merge_subtrees(left, right, num_ranges, leaves):
 
 
 def exact_range_count(beta):
-    """The least integer r with 2**r >= beta, counted up one power at a time."""
+    """The least integer r with 2**r >= beta, counted up one power at a time
+    (an int power, which compares with beta exactly and cannot overflow)."""
     r = 0
-    while 2.0**r < beta:
+    while 2**r < beta:
         r += 1
     return r
 
@@ -484,6 +486,29 @@ def test_pgm_merge_with_the_empty_list_keeps_the_inputs_own_candidates(cands, nu
     merged = _merge(left, right, num_ranges)
     assert merged == reference_merge(left, right, num_ranges)
     assert all(any(c is own for own in cands) for c in merged)
+
+
+@pytest.mark.parametrize(
+    "beta, stores",
+    [
+        (1.7e308, [(1.0, 0.9), (2.0, 0.9)]),
+        (sys.float_info.max, [(1.0, 0.9), (2.0, 0.9)]),
+        (sys.float_info.max, [(1.5e308, 0.0), (8e307, 0.0)]),
+        (sys.float_info.max, [(1.5e308, 0.5), (1.6e308, 0.5), (8e307, 0.5), (9e307, 0.25), (1.0, 0.9)]),
+    ],
+)
+def test_pgm_at_the_float_ceiling(beta, stores):
+    """A finite beta of 2**1023 or more gives 1024 ranges, whose bound 2**1024
+    is no float; unions whose cost overflows to inf fall in frexp's range 0.
+    pgm still answers, as the reference does, and with two stores that is
+    the optimum."""
+    ctx = SelectionContext(tuple(DatastoreProfile(i, c, r) for i, (c, r) in enumerate(stores)), beta)
+    assert exact_range_count(beta) == 1024
+    chosen = select_pgm(ctx)
+    assert chosen == reference_pgm(ctx)
+    if len(stores) == 2:
+        with np.errstate(over="ignore"):
+            assert chosen == select_exhaustive(ctx)
 
 
 def umb_window_edge_case(least, ulps):
