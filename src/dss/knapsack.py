@@ -4,13 +4,13 @@ Selecting stores to maximize the chance of a hit under an access budget is a
 knapsack: give each store the weight w = -log2(rho), so maximizing the summed
 weight minimizes the product of misindication ratios. Costs here are integer
 access costs. The exact solver answers every budget up to a largest one in
-one pass (solve_exact_all_budgets; solve_exact reads its last entry). It is a
-list dynamic program in the manner of Nemhauser and Ullmann (Management
-Science, 1969): each suffix of the items keeps its optimum as a step function
-of the budget, one run per stretch of budgets that choose the same ids, so
-its work follows the number of runs; only the returned list has one entry
-per budget. The greedy profit-density solver is the textbook
-2-approximation.
+one pass, _runs. It is a list dynamic program in the manner of Nemhauser and
+Ullmann (Management Science, 1969): each suffix of the items keeps its
+optimum as a step function of the budget, one run per stretch of budgets
+that choose the same ids, so its work and its answer follow the number of
+runs, not of budgets. solve_exact reads the last run, pp scores each run
+once, and only solve_exact_all_budgets expands the runs to one entry per
+budget. The greedy profit-density solver is the textbook 2-approximation.
 """
 
 from __future__ import annotations
@@ -64,17 +64,40 @@ class KnapsackInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        if not isinstance(self.budget, int) or self.budget < 0:
-            raise ValueError(f"budget must be an integer >= 0, got {self.budget!r}")
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("item ids must be distinct")
+        _require_valid(self.items, self.budget, "budget")
+
+
+def _require_valid(items, budget, name: str) -> None:
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {budget!r}")
+    ids = [it.id for it in items]
+    if len(set(ids)) != len(ids):
+        raise ValueError("item ids must be distinct")
 
 
 def solve_exact_all_budgets(
     items: tuple[KnapsackItem, ...] | list[KnapsackItem], max_budget: int
 ) -> list[frozenset]:
+    """Optimal item ids for every budget 0..max_budget, one entry per budget.
+
+    The runs of _runs, expanded: the budgets of a run share one frozenset.
+    Refuses repeated item ids and a max_budget that is not an integer >= 0,
+    as KnapsackInstance does.
+    """
+    _require_valid(items, max_budget, "max_budget")
+    runs = _runs(items, max_budget)
+    sets = []
+    ends = [run[0] for run in runs[1:]] + [max_budget + 1]
+    for (start, _, ids), end in zip(runs, ends):
+        sets += [frozenset(ids)] * (end - start)
+    return sets
+
+
+def _runs(items, max_budget: int) -> list:
     """Optimal item ids for every budget 0..max_budget, as runs of budgets.
+
+    Unchecked: the items' ids must be distinct and max_budget an integer
+    >= 0 (solve_exact_all_budgets and KnapsackInstance check both).
 
     Items are taken in id order, and the program goes through their suffixes
     from the last item back. A suffix's answer is a step function of the
@@ -94,20 +117,17 @@ def solve_exact_all_budgets(
     leaving it when nothing is left to gain puts a proper prefix before
     its extensions. Both tests compare the very float sums the profits
     were built from (skip's profit at b - c, plus w), so no tolerance is
-    needed. Neighbouring runs that choose the same ids are one run, and
-    the budgets of a run share one frozenset.
+    needed. Neighbouring runs that choose the same ids are one run. No two
+    runs further apart choose the same ids either: a set that is the answer
+    at budgets b1 < b3 is affordable and optimal at every budget between
+    them, and the smallest optimum there too. So each set starts one run,
+    at its own cost, and the last run answers max_budget.
     """
-    if max_budget < 0:
-        raise ValueError(f"max_budget must be >= 0, got {max_budget}")
     runs = [(0, 0.0, ())]
     for item in reversed(sorted(items, key=_ID)):
         if item.cost <= max_budget:
             runs = _take_or_skip(runs, item, max_budget)
-    sets = []
-    ends = [run[0] for run in runs[1:]] + [max_budget + 1]
-    for (start, _, ids), end in zip(runs, ends):
-        sets += [frozenset(ids)] * (end - start)
-    return sets
+    return runs
 
 
 def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
@@ -154,7 +174,7 @@ def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
 def solve_exact(instance: KnapsackInstance) -> frozenset:
     """Optimal item ids; profit ties resolved to the lexicographically
     smallest id set (so e.g. a zero-budget instance yields the empty set)."""
-    return solve_exact_all_budgets(instance.items, instance.budget)[-1]
+    return frozenset(_runs(instance.items, instance.budget)[-1][2])
 
 
 def solve_greedy2(instance: KnapsackInstance) -> frozenset:

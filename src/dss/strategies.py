@@ -45,19 +45,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import DatastoreProfile, InvariantError, SelectionContext, expected_cost
-from .knapsack import (
-    KnapsackItem,
-    clamped_log_hit_weight,
-    solve_exact_all_budgets,
-)
+from .knapsack import KnapsackItem, _runs, clamped_log_hit_weight
 
 Selection = tuple[DatastoreProfile, ...]
 
 EXHAUSTIVE_MAX_CANDIDATES = 20
 
 # pp refuses a context whose (candidates + 1) x (max budget + 1) cells number
-# more than this. The knapsack keeps runs of budgets, not a table of cells,
-# but it returns one list entry per budget, so the count bounds that list.
+# more than this. The knapsack keeps runs of budgets, not a table of cells;
+# each suffix of the items has at most one run per budget, so the count
+# bounds the runs built over all suffixes.
 PP_MAX_TABLE_CELLS = 1 << 24
 
 
@@ -233,11 +230,12 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     For every budget B in {0, ..., min(total cost, floor(miss_penalty))} the
     knapsack over log-hit weights proposes the selection with the best hit
     probability affordable within B, and _best_by_phi picks among the
-    distinct proposals. One exact dynamic program answers every budget, and
-    some budget equals the optimum's total cost, so pp's phi equals the
-    optimum's up to the rounding of log-hit weights. Among sets of equal
-    phi, pp can return only one of its per-budget proposals, which need
-    not be opt's.
+    proposals. One exact dynamic program answers every budget, as runs of
+    budgets that propose the same set; no set is in two runs, so each
+    proposal is scored once. Some budget equals the optimum's total cost,
+    so pp's phi equals the optimum's up to the rounding of log-hit weights.
+    Among sets of equal phi, pp can return only one of its per-budget
+    proposals, which need not be opt's.
 
     A set first proposed at budget B costs exactly B (a cheaper one is
     already the proposal at its own cost), so its phi is at least B. The
@@ -248,7 +246,7 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     Each pass builds knapsack items only for the stores it can afford: the
     knapsack never takes a costlier one.
     Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells of
-    (candidates + 1) x (budgets + 1), which bounds the per-budget list.
+    (candidates + 1) x (budgets + 1), which bounds the knapsack's runs.
     """
     int_costs = _require_integer_costs(ctx)
     max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
@@ -264,15 +262,14 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     beta = ctx.miss_penalty
     by_id = {p.id: p for p in ctx.candidates}
     width = min(max_budget, math.floor(_phi_upper_bound(ctx)))
-    for budget in dict.fromkeys((width, max_budget)):
+    for budget in sorted({width, max_budget}):
         items = [
             KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
             for p in ctx.candidates
             if int_costs[p.id] <= budget
         ]
-        # Budgets often propose the same set; each distinct one is scored once.
-        proposals = dict.fromkeys(solve_exact_all_budgets(items, budget))
-        best = _best_by_phi(([by_id[i] for i in ids] for ids in proposals), beta)
+        runs = _runs(items, budget)
+        best = _best_by_phi(([by_id[i] for i in ids] for _, _, ids in runs), beta)
         if _phi_by_id(best, beta) < budget + 1:
             break
     return best

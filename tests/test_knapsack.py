@@ -10,6 +10,7 @@ import pytest
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
+    _runs,
     log_hit_weight,
     solve_exact,
     solve_exact_all_budgets,
@@ -117,6 +118,19 @@ def test_item_and_instance_validation():
         KnapsackInstance(-1, (KnapsackItem("a", 1.0, 1),))
     with pytest.raises(ValueError):
         KnapsackInstance(3, (KnapsackItem("a", 1.0, 1), KnapsackItem("a", 2.0, 1)))
+
+
+def test_all_budgets_refuses_repeated_ids():
+    # Two items "a" would otherwise be answered as [{}, {a}, {a}]: profit 2
+    # claimed for a set that costs 1.
+    twins = [KnapsackItem("a", 1.0, 1), KnapsackItem("a", 1.0, 1)]
+    with pytest.raises(ValueError, match="item ids must be distinct"):
+        solve_exact_all_budgets(twins, 2)
+
+
+def test_all_budgets_refuses_a_non_integer_max_budget():
+    with pytest.raises(ValueError, match=r"max_budget must be an integer >= 0, got 2\.0"):
+        solve_exact_all_budgets([KnapsackItem("a", 1.0, 1)], 2.0)
 
 
 def simple_items():
@@ -233,10 +247,10 @@ def test_all_budgets_on_a_run_per_budget_and_a_tied_twin():
         assert chosen == reference_solve(twin, budget)
 
 
-def _traced_peak(items, max_budget):
+def _traced_peak(items, max_budget, solve=solve_exact_all_budgets):
     tracemalloc.start()
     try:
-        table = solve_exact_all_budgets(items, max_budget)
+        table = solve(items, max_budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,3 +279,13 @@ def test_all_budgets_memory_follows_the_runs_not_the_budgets():
             seen.add(chosen)
             assert sum(costs[i] for i in chosen) == budget
     assert len(seen) == len({id(chosen) for chosen in table}) == 92
+
+
+def test_runs_memory_follows_the_runs_alone():
+    # Costs 1, 2, 4, ..., 2**15 at one profit density: each of the 2**16
+    # budgets is a run of its own. The runs peak near 17 MiB; expanding them
+    # to one frozenset per budget, as solve_exact_all_budgets does, near 60.
+    items = [KnapsackItem(j + 1, 0.37 * 2**j, 2**j) for j in range(16)]
+    runs, peak = _traced_peak(items, 2**16 - 1, _runs)
+    assert [start for start, _, _ in runs] == list(range(2**16))
+    assert peak < 32 * 2**20

@@ -28,6 +28,7 @@ from dss.datastore import RhoEstimator
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
+    _runs,
     clamped_log_hit_weight,
     solve_exact,
     solve_exact_all_budgets,
@@ -113,6 +114,29 @@ def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
         if chosen not in seen:
             seen.add(chosen)
             assert sum(costs[i] for i in chosen) == budget
+
+
+@given(knapsacks())
+@example(((), 0))
+@example(((KnapsackItem(3, 0.0, 1), KnapsackItem(1, 1.0, 9), KnapsackItem(2, 0.5, 2)), 4))
+def test_runs_propose_each_set_once_at_its_cost(case):
+    """pp scores each run's ids once, with no dedupe: this pins that no set
+    starts two runs, and that the runs are the per-budget answers."""
+    items, max_budget = case
+    costs = {it.id: it.cost for it in items}
+    runs = _runs(items, max_budget)
+    starts = [start for start, _, _ in runs]
+    assert starts[0] == 0
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    sets = [frozenset(ids) for _, _, ids in runs]
+    assert len(set(sets)) == len(sets)
+    for start, _, ids in runs:
+        assert sum(costs[i] for i in ids) == start
+    table = solve_exact_all_budgets(items, max_budget)
+    assert len(table) == max_budget + 1
+    for budget, chosen in enumerate(table):
+        last = max(r for r, start in enumerate(starts) if start <= budget)
+        assert chosen == sets[last]
 
 
 def reference_pp(ctx):
@@ -345,7 +369,7 @@ def test_a_bound_too_low_forces_both_second_passes():
 
     def solve_spy(items, max_budget):
         budgets.append(max_budget)
-        return solve_exact_all_budgets(items, max_budget)
+        return _runs(items, max_budget)
 
     def pass_spy(ctx, num_ranges, kept):
         passes.append(kept)
@@ -353,7 +377,7 @@ def test_a_bound_too_low_forces_both_second_passes():
 
     forced = Counter()
     with mock.patch.object(dss.strategies, "_phi_upper_bound", lambda ctx: 1.0), \
-            mock.patch.object(dss.strategies, "solve_exact_all_budgets", solve_spy), \
+            mock.patch.object(dss.strategies, "_runs", solve_spy), \
             mock.patch.object(dss.strategies, "_pgm_pass", pass_spy):
         for ctx in golden_select_contexts():
             beta = ctx.miss_penalty

@@ -27,7 +27,7 @@ from dss.strategies import (
     select_pgm,
     select_pot,
 )
-from dss.knapsack import solve_exact_all_budgets
+from dss.knapsack import _runs
 
 
 def make_ctx(stores, beta=100.0):
@@ -103,7 +103,7 @@ def no_table(items, max_budget):
 
 
 def test_dsalg_pp_refuses_a_huge_budget_before_building_a_table(monkeypatch):
-    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", no_table)
+    monkeypatch.setattr(dss.strategies, "_runs", no_table)
     with pytest.raises(ValueError, match=r"budget 1000000000000 over 1 candidates"):
         select_dsalg_pp(make_ctx([(1, 10.0**12, 0.1)], beta=1e13))
 
@@ -118,7 +118,7 @@ def test_dsalg_pp_table_limit_is_inclusive(monkeypatch):
         built.append(max_budget)
         raise LookupError("stop before the table")
 
-    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", spy)
+    monkeypatch.setattr(dss.strategies, "_runs", spy)
     stores = [(1, 2.0**30, 0.5), (2, 2.0**30, 0.5)]
     at_limit = PP_MAX_TABLE_CELLS // 3 - 1
     with pytest.raises(LookupError):
@@ -213,9 +213,9 @@ def test_dsalg_pp_builds_items_only_for_affordable_stores(monkeypatch):
 
     def spy(items, max_budget):
         seen.append((max_budget, sorted(it.id for it in items)))
-        return solve_exact_all_budgets(items, max_budget)
+        return _runs(items, max_budget)
 
-    monkeypatch.setattr(dss.strategies, "solve_exact_all_budgets", spy)
+    monkeypatch.setattr(dss.strategies, "_runs", spy)
     got = select_dsalg_pp(make_ctx([(1, 3.0, 0.2), (2, 100.0, 0.0), (3, 7.0, 0.1)], beta=50.0))
     assert ids(got) == [1, 3]
     # The bound is phi({3}) = 7 + 50 * 0.1 = 12, and phi({1, 3}) = 11 is
