@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from .cbf import CountingBloomFilter
+from .core import InvariantError
 
 
 # The estimator's rule: accesses per epoch, the weight of the newest epoch
@@ -101,9 +102,9 @@ class Datastore:
         recently used one if full. Returns the evicted item or None.
         ``indexes``, when given, are the item's counter indexes in this
         store's filter, so the filter need not look the item up again.
-        Inserting an item already present is a caller bug."""
+        Inserting an item already present is a caller bug (InvariantError)."""
         if item in self._contents:
-            raise ValueError(f"item {item!r} already present in store {self.id}")
+            raise InvariantError(f"item {item!r} already present in store {self.id}")
         evicted = None
         if len(self._contents) >= self.capacity:
             evicted, evicted_indexes = self._contents.popitem(last=False)

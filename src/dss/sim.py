@@ -9,10 +9,10 @@ estimates, asks the configured strategy which stores to access, and pays
 for every access. If no accessed store holds the item, the miss penalty is
 paid and the item is written to its k hash-designated stores.
 
-A run with the ground-truth baseline strategy ("pi": access the single
-cheapest store that truly holds the item) under the same seed and trace
-provides the normalizer: reported AC and TC divide by the baseline's total
-cost, so 1.0 means "as good as never being misled".
+The ground-truth baseline "pi" is cpi under a perfect indicator: its
+candidates are the item's designated stores that hold it. A run of it under
+the same seed and trace provides the normalizer: reported AC and TC divide
+by the baseline's total cost, so 1.0 means "as good as never being misled".
 
 An item's hashes (its counter indexes in every store's filter and its store
 ranking for placement) depend only on the seed and the item, so runs that
@@ -254,7 +254,7 @@ def run(
     bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
     stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
-    strategy = None if ground_truth else STRATEGIES[config.strategy]
+    strategy = STRATEGIES["cpi" if ground_truth else config.strategy]
 
     rng = np.random.default_rng(config.seed)
     clients = rng.integers(0, n_stores, size=len(items))
@@ -274,19 +274,21 @@ def run(
         row = cost_rows[client]
         block, ranking = hashes.row(item)
         if ground_truth:
-            chosen = _cheapest_holder(stores, ranking[:k].tolist(), item, row)
+            # A perfect indicator: only designated stores ever hold the item.
+            positives = [j for j in ranking[:k].tolist() if stores[j].holds(item)]
         else:
-            cached = profile_cache[client]
-            profiles = []
-            for j in bank.positives(block):
-                estimate = estimators[j].estimate
-                entry = cached[j]
-                if entry is None or entry[0] != estimate:
-                    profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
-                    entry = cached[j] = (estimate, profile)
-                profiles.append(entry[1])
-            ctx = SelectionContext._trusted(tuple(profiles), beta)
-            chosen = [p.id for p in strategy(ctx)]
+            positives = bank.positives(block)
+        cached = profile_cache[client]
+        profiles = []
+        for j in positives:
+            estimate = estimators[j].estimate
+            entry = cached[j]
+            if entry is None or entry[0] != estimate:
+                profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
+                entry = cached[j] = (estimate, profile)
+            profiles.append(entry[1])
+        ctx = SelectionContext._trusted(tuple(profiles), beta)
+        chosen = [p.id for p in strategy(ctx)]
         paid = 0.0
         hit = False
         for j in chosen:
@@ -305,21 +307,6 @@ def run(
     return SimMetrics(config, len(items), access_total, misses, log=log)
 
 
-def _cheapest_holder(
-    stores: list[Datastore], designated: Sequence[int], item, row: list
-) -> list[int]:
-    """The cheapest store (ties to the lower id) that holds the item. Items
-    are only ever inserted at their designated stores, so only those can."""
-    best = None
-    best_key = None
-    for j in designated:
-        if stores[j].holds(item):
-            key = (row[j], j)
-            if best_key is None or key < best_key:
-                best, best_key = j, key
-    return [] if best is None else [best]
-
-
 def run_with_baseline(
     config: SimConfig,
     topology: Topology | str | None = None,
@@ -327,7 +314,8 @@ def run_with_baseline(
 ) -> tuple[SimMetrics, SimMetrics]:
     """Run a strategy plus its ground-truth twin (same seed and trace) as a
     one-cell grid; returns (strategy metrics, baseline metrics), both
-    normalized. For the ground truth itself both are the same object."""
+    normalized. The twin, "pi", is cpi over the item's designated stores
+    that hold it. For the ground truth itself both are the same object."""
     rows = run_grid([GROUND_TRUTH_STRATEGY, config.strategy], [config.miss_penalty],
                     [config.locations_per_item], [config.seed], topology, trace,
                     config.store_capacity, config.target_fpr, config.alpha, config.big_t)
@@ -470,4 +458,6 @@ def _as_trace(trace: Sequence | str | None):
         raise ValueError("a trace (sequence or file path) is required")
     if isinstance(trace, str):
         return load_trace(trace)
+    if len(trace) == 0:
+        raise ValueError("trace contains no items")
     return trace

@@ -6,6 +6,7 @@ from collections import OrderedDict
 import pytest
 
 from dss.cbf import CountingBloomFilter, FilterBank
+from dss.core import InvariantError
 from dss.datastore import Datastore, RhoEstimator
 
 
@@ -81,7 +82,7 @@ def test_insert_within_capacity_no_eviction():
 def test_insert_duplicate_rejected():
     store = make_store()
     store.insert("a")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError, match="already present"):
         store.insert("a")
 
 

@@ -95,7 +95,7 @@ def sim_cases(draw):
         seed=draw(st.integers(0, 5)),
     )
     items = st.one_of(st.integers(0, 15), st.sampled_from(["a", "b", "c", "item-7", "15"]))
-    return config, topo, draw(st.lists(items, max_size=80))
+    return config, topo, draw(st.lists(items, min_size=1, max_size=80))
 
 
 @given(sim_cases())

@@ -19,7 +19,7 @@ from dss.sim import (
     run_grid,
     run_with_baseline,
 )
-from dss.topology import Edge, Topology, cost_matrix
+from dss.topology import Edge, Topology, cost_matrix, default_topology
 from dss.workload import load_trace, save_trace, zipf_trace
 
 
@@ -185,8 +185,8 @@ def test_ground_truth_looks_only_at_designated_stores(monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["pi", "cpi"])
 def test_run_looks_each_request_up_once(strategy, monkeypatch):
-    # One table lookup per request serves the indicator query (or pi's
-    # holder search) and, on a miss, placement and every filter insert.
+    # One table lookup per request serves the candidate search and, on a
+    # miss, placement and every filter insert.
     import dss.sim
 
     lookups = []
@@ -216,6 +216,47 @@ def test_oversized_filter_bank_fails_before_allocation(monkeypatch):
         run(config, trace=["x"])
     with pytest.raises(ValueError, match="target_fpr"):
         run_grid(["cpi"], [100.0], [1], [0], trace=["x"], target_fpr=1e-30)
+
+
+def test_empty_trace_fails_before_allocation(monkeypatch):
+    import dss.sim
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a filter bank was allocated")
+
+    monkeypatch.setattr(dss.sim, "FilterBank", no_bank)
+    config = SimConfig(strategy="cpi")
+    with pytest.raises(ValueError, match="^trace contains no items$"):
+        run(config, trace=[])
+    with pytest.raises(ValueError, match="^trace contains no items$"):
+        run_grid(["cpi"], [100.0], [1], [0], trace=[])
+    with pytest.raises(ValueError, match="^trace contains no items$"):
+        run_with_baseline(config, trace=[])
+
+
+def test_pi_is_cpi_over_the_designated_holders(monkeypatch):
+    # pi makes one cpi call per request, on the designated stores that
+    # hold the item, and hits exactly when that context is not empty.
+    from dss.strategies import STRATEGIES
+
+    contexts = []
+    cpi = STRATEGIES["cpi"]
+
+    def spy(ctx):
+        contexts.append(ctx)
+        return cpi(ctx)
+
+    monkeypatch.setitem(STRATEGIES, "cpi", spy)
+    config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, seed=3)
+    trace = zipf_trace(300, 100, seed=4)
+    metrics = run(config, trace=trace, record_log=True)
+    assert len(contexts) == len(trace)
+    n_stores = len(default_topology().nodes)
+    for ctx, (item, _, _, _, hit) in zip(contexts, metrics.log):
+        designated = designated_stores(item, 2, n_stores, seed=3)
+        assert all(p.id in designated for p in ctx.candidates)
+        assert hit == bool(ctx.candidates)
+    assert 0 < metrics.misses < len(trace)
 
 
 def test_pi_normalizes_to_one():
