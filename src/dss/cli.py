@@ -22,6 +22,7 @@ from .core import DatastoreProfile, InvariantError, SelectionContext, expected_c
 from .homogeneous import hit_grid, homogeneous_sweep, write_sweep_csv
 from .sim import (
     DEFAULT_BENCH_STRATEGIES,
+    SimConfig,
     markdown_summary,
     metrics_csv,
     resolve_strategy,
@@ -86,10 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sim_env(p):
         p.add_argument("--topology", help="topology file (default: bundled 19-node)")
         p.add_argument("--trace", help="trace file, one item per line (default: synthetic)")
-        p.add_argument("--store-size", type=int, default=1000, help="per-store capacity")
-        p.add_argument("--target-fpr", type=float, default=0.02, help="indicator target fpr")
-        p.add_argument("--alpha", type=float, default=0.5, help="hop/bandwidth cost blend")
-        p.add_argument("--big-t", type=float, default=None, help="bandwidth scale T")
+        p.add_argument("--store-size", type=int, default=SimConfig.store_capacity,
+                       help="per-store capacity")
+        p.add_argument("--target-fpr", type=float, default=SimConfig.target_fpr,
+                       help="indicator target fpr")
+        p.add_argument("--alpha", type=float, default=SimConfig.alpha,
+                       help="hop/bandwidth cost blend")
+        p.add_argument("--big-t", type=float, default=SimConfig.big_t, help="bandwidth scale T")
         p.add_argument("--synth-requests", type=int, default=20000,
                        help="synthetic trace length (when --trace is omitted)")
         p.add_argument("--synth-catalog", type=int, default=20000,
@@ -102,17 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="one trace-driven run")
     simulate.add_argument("--strategy", type=_strategy_name, default="cpi")
-    simulate.add_argument("--beta", type=float, default=100.0, help="miss penalty")
-    simulate.add_argument("--k", type=int, default=1, help="designated stores per item")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--beta", type=float, default=SimConfig.miss_penalty,
+                          help="miss penalty")
+    simulate.add_argument("--k", type=int, default=SimConfig.locations_per_item,
+                          help="designated stores per item")
+    simulate.add_argument("--seed", type=int, default=SimConfig.seed)
     add_sim_env(simulate)
 
     bench = sub.add_parser("bench", help="strategy/beta/k/seed benchmark grid")
     bench.add_argument("--strategies", type=_list_of(_strategy_name, "strategy names"),
                        default=list(DEFAULT_BENCH_STRATEGIES))
-    bench.add_argument("--betas", type=_list_of(float, "numbers"), default=[100.0])
+    bench.add_argument("--betas", type=_list_of(float, "numbers"),
+                       default=[SimConfig.miss_penalty])
     bench.add_argument("--ks", type=_list_of(int, "integers"), default=[1, 5])
-    bench.add_argument("--seeds", type=_list_of(int, "integers"), default=[0])
+    bench.add_argument("--seeds", type=_list_of(int, "integers"), default=[SimConfig.seed])
     add_sim_env(bench)
 
     return parser

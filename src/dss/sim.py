@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,21 +78,23 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, str):
+            raise ValueError(f"strategy must be a str, got {self.strategy!r}")
         object.__setattr__(self, "strategy", resolve_strategy(self.strategy))
         if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
             raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
-        if self.locations_per_item < 1:
-            raise ValueError(
-                f"locations_per_item must be >= 1, got {self.locations_per_item}"
-            )
-        if self.store_capacity < 1:
-            raise ValueError(f"store_capacity must be >= 1, got {self.store_capacity}")
+        for name, least in (("locations_per_item", 1), ("store_capacity", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = operator.index(value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         if not (0.0 < self.target_fpr < 1.0):
             raise ValueError(f"target_fpr must lie in (0, 1), got {self.target_fpr}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.strategy != GROUND_TRUTH_STRATEGY:
             # A selector that refuses this miss penalty refuses the empty
             # context too, so the refusal comes before any run.
@@ -204,17 +207,10 @@ class _ItemHashes:
         return row
 
 
-@dataclass(frozen=True)
-class _Shared:
+def _make_shared(config: SimConfig, topo: Topology) -> tuple[list, _ItemHashes]:
     """What runs over one topology, seed and filter size share: the cost
-    rows and the item-hash table. It lives only as long as the call that
-    made it (run or run_grid)."""
-
-    cost_rows: list
-    hashes: _ItemHashes
-
-
-def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
+    rows and the item-hash table. They live only as long as the call that
+    made them (run or run_grid)."""
     n_stores = len(topo.nodes)
     num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
     if n_stores * num_counters > _MAX_BANK_COUNTERS:
@@ -224,7 +220,7 @@ def _make_shared(config: SimConfig, topo: Topology) -> _Shared:
             f"{n_stores} stores; at most {_MAX_BANK_COUNTERS} fit one filter bank"
         )
     cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
-    return _Shared(cost_rows, _ItemHashes(config.seed, n_stores, num_counters))
+    return cost_rows, _ItemHashes(config.seed, n_stores, num_counters)
 
 
 def _check_locations(k: int, n_stores: int) -> None:
@@ -238,19 +234,18 @@ def run(
     trace: Sequence | str | None = None,
     record_log: bool = False,
     *,
-    _shared: _Shared | None = None,
+    _shared: tuple[list, _ItemHashes] | None = None,
 ) -> SimMetrics:
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
-    ``_shared`` is the state that run_grid shares across its runs; it must
-    have been made for this config and topology.
+    ``_shared`` is ``_make_shared``'s pair, which run_grid shares across
+    its runs; it must have been made for this config and topology.
     """
     topo = _as_topology(topology)
     items = _as_trace(trace)
     n_stores = len(topo.nodes)
     _check_locations(config.locations_per_item, n_stores)
-    shared = _shared or _make_shared(config, topo)
-    hashes = shared.hashes
+    cost_rows, hashes = _shared or _make_shared(config, topo)
     bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
     stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
@@ -258,7 +253,6 @@ def run(
 
     rng = np.random.default_rng(config.seed)
     clients = rng.integers(0, n_stores, size=len(items))
-    cost_rows = shared.cost_rows
     beta = config.miss_penalty
     k = config.locations_per_item
     estimators = [store.estimator for store in stores]
@@ -329,17 +323,20 @@ def run_grid(
     seeds: Sequence[int],
     topology: Topology | str | None = None,
     trace: Sequence | str | None = None,
-    store_capacity: int = 1000,
-    target_fpr: float = 0.02,
-    alpha: float = 0.5,
-    big_t: float | None = None,
+    store_capacity: int = SimConfig.store_capacity,
+    target_fpr: float = SimConfig.target_fpr,
+    alpha: float = SimConfig.alpha,
+    big_t: float | None = SimConfig.big_t,
 ) -> list[SimMetrics]:
     """Benchmark grid. The ground-truth baseline runs once per
-    (beta, k, seed) cell and normalizes every strategy in that cell. The
-    cells of a seed share one cost matrix and one item-hash table. Every
-    cell's configs are built, and so checked, and every k is checked
-    against the topology's stores, before the first run."""
-    names = [resolve_strategy(s) for s in strategies]
+    (beta, k, seed) cell, is the cell's "pi" row, and normalizes every row
+    of the cell. The cells of a seed share one cost matrix and one
+    item-hash table. An empty axis is refused and every cell's configs are
+    built, and so checked, before the topology or trace is loaded; every k
+    is checked against the topology's stores before the first run."""
+    for axis, values in dict(strategies=strategies, betas=betas, ks=ks, seeds=seeds).items():
+        if len(values) == 0:
+            raise ValueError(f"{axis} must not be empty")
     cells = []
     for beta in betas:
         for k in ks:
@@ -354,24 +351,23 @@ def run_grid(
                     big_t=big_t,
                     seed=seed,
                 )
-                configs = [dataclasses.replace(cell, strategy=name) for name in names]
+                configs = [dataclasses.replace(cell, strategy=name) for name in strategies]
                 cells.append((cell, configs))
     topo = _as_topology(topology)
     for k in ks:
         _check_locations(k, len(topo.nodes))
     items = _as_trace(trace)
-    shared: dict[int, _Shared] = {}
+    shared = {}
     rows = []
     for cell, configs in cells:
         if cell.seed not in shared:
             shared[cell.seed] = _make_shared(cell, topo)
         baseline = run(cell, topo, items, _shared=shared[cell.seed])
-        baseline.normalize_against(baseline.total_cost)
         for config in configs:
             if config.strategy == GROUND_TRUTH_STRATEGY:
-                rows.append(baseline)
-                continue
-            metrics = run(config, topo, items, _shared=shared[cell.seed])
+                metrics = baseline
+            else:
+                metrics = run(config, topo, items, _shared=shared[cell.seed])
             metrics.normalize_against(baseline.total_cost)
             rows.append(metrics)
     return rows
@@ -410,7 +406,13 @@ def metrics_csv(rows: Sequence[SimMetrics]) -> str:
 
 
 def markdown_summary(rows: Sequence[SimMetrics]) -> str:
-    """Pivot table of seed-averaged normalized costs per strategy and cell."""
+    """Pivot table of seed-averaged normalized costs per strategy and cell,
+    from one pass that groups the normalized rows in row order."""
+    groups: dict[tuple, list[SimMetrics]] = {}
+    for m in rows:
+        if m.tc_norm is not None:
+            c = m.config
+            groups.setdefault((c.strategy, c.miss_penalty, c.locations_per_item), []).append(m)
     cells = sorted({(m.config.miss_penalty, m.config.locations_per_item) for m in rows})
     names = list(dict.fromkeys(m.config.strategy for m in rows))
     header = "| strategy | " + " | ".join(
@@ -427,15 +429,8 @@ def markdown_summary(rows: Sequence[SimMetrics]) -> str:
     for name in names:
         entries = []
         for b, k in cells:
-            sample = [
-                m
-                for m in rows
-                if m.config.strategy == name
-                and m.config.miss_penalty == b
-                and m.config.locations_per_item == k
-                and m.tc_norm is not None
-            ]
-            if not sample:
+            sample = groups.get((name, b, k))
+            if sample is None:
                 entries.append("-")
                 continue
             tc = sum(m.tc_norm for m in sample) / len(sample)

@@ -91,6 +91,7 @@ def contexts(draw, integer_costs=True, min_beta=1.0):
     return SelectionContext(stores, beta)
 
 
+@pytest.mark.deep
 @given(knapsacks())
 @example(((), 0))
 @example(((), 5))
@@ -105,6 +106,7 @@ def test_all_budgets_equals_a_solve_per_budget(case):
         assert solve_exact(KnapsackInstance(budget, items)) == want
 
 
+@pytest.mark.deep
 @given(knapsacks())
 def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
     items, max_budget = case
@@ -116,6 +118,7 @@ def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
             assert sum(costs[i] for i in chosen) == budget
 
 
+@pytest.mark.deep
 @given(knapsacks())
 @example(((), 0))
 @example(((KnapsackItem(3, 0.0, 1), KnapsackItem(1, 1.0, 9), KnapsackItem(2, 0.5, 2)), 4))
@@ -324,12 +327,14 @@ PP_TIE_CASE = SelectionContext(
 )
 
 
+@pytest.mark.deep
 @given(st.one_of(bounded_contexts(), pooled_integer_contexts()))
 @example(PP_TIE_CASE)
 def test_pp_equals_the_full_sweep(ctx):
     assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
 
 
+@pytest.mark.deep
 @given(bounded_contexts(integer_costs=False))
 def test_pgm_equals_the_full_merge(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
@@ -349,11 +354,13 @@ def contexts_just_above_a_power_of_two(draw):
     return SelectionContext(stores, beta)
 
 
+@pytest.mark.deep
 @given(contexts_just_above_a_power_of_two())
 def test_pgm_equals_the_reference_just_above_a_power_of_two(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
 
 
+@pytest.mark.deep
 def test_pp_and_pgm_equal_the_full_passes_on_the_golden_contexts():
     for ctx in golden_select_contexts():
         assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
@@ -436,22 +443,26 @@ UMB_ROUNDING_CASE = SelectionContext(
 )
 
 
+@pytest.mark.deep
 @given(pooled_contexts())
 @example(UMB_ROUNDING_CASE)
 def test_umb_equals_the_reference(ctx):
     assert select_dsalg_knap(ctx) == reference_knap(ctx)
 
 
+@pytest.mark.deep
 @given(pooled_contexts())
 def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
 
 
+@pytest.mark.deep
 @given(pooled_contexts())
 def test_pot_equals_the_reference(ctx):
     assert select_pot(ctx) == reference_pot(ctx)
 
 
+@pytest.mark.deep
 @given(pooled_contexts())
 def test_potential_state_equals_the_reference_bit_for_bit(ctx):
     state = potential_state(ctx)
@@ -478,6 +489,7 @@ def pgm_candidate_lists(draw, first_id, in_cost_order=False):
     return draw(st.permutations(out))
 
 
+@pytest.mark.deep
 @given(pgm_candidate_lists(0), pgm_candidate_lists(50, in_cost_order=True), st.integers(1, 6))
 def test_pgm_merge_of_a_cost_ordered_right_list_equals_the_reference(left, right, num_ranges):
     assert _merge(left, right, num_ranges) == reference_merge(left, right, num_ranges)
@@ -498,6 +510,7 @@ def test_pgm_merge_drops_a_union_costing_exactly_two_to_the_num_ranges():
     assert merged == [PGM_EMPTY, b, union]
 
 
+@pytest.mark.deep
 @given(pgm_candidate_lists(0), st.integers(1, 6), st.booleans())
 def test_pgm_merge_with_the_empty_list_keeps_the_inputs_own_candidates(cands, num_ranges, on_left):
     """Merging with [PGM_EMPTY], on either side, returns the other list's own
@@ -585,6 +598,7 @@ def test_umb_stops_one_ulp_above_the_window_edge():
     assert proposed == [(1,)]
 
 
+@pytest.mark.deep
 @given(
     st.floats(2.0**40, 2.0**60),
     st.integers(-2, 2),
@@ -616,6 +630,7 @@ def small_context_values():
                     yield beta, cost, rho
 
 
+@pytest.mark.deep
 def test_closed_form_equals_the_references_on_every_small_context():
     """pot, pp, umb, pgm and opt answer contexts of 0 or 1 candidates by
     one closed form; each answer, or refusal, must be the one its
@@ -687,6 +702,7 @@ def test_pp_is_optimal_on_integer_costs(ctx):
     assert math.isclose(pp, opt, rel_tol=0.0, abs_tol=1e-9)
 
 
+@pytest.mark.deep
 @given(contexts(integer_costs=False, min_beta=2.0))
 def test_pgm_within_twice_log_beta_of_optimum(ctx):
     pgm = phi(select_pgm(ctx), ctx.miss_penalty)
@@ -712,6 +728,7 @@ def test_phi_is_bit_identical_under_permutation(ctx, data):
     assert phi(selection, ctx.miss_penalty).hex() == phi(by_id, ctx.miss_penalty).hex()
 
 
+@pytest.mark.deep
 @given(contexts(integer_costs=False))
 def test_pot_within_cost_sum_ratio_of_optimum(ctx):
     pot = select_pot(ctx)

@@ -12,7 +12,8 @@ import dataclasses
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dss.cbf import CountingBloomFilter, size_for_target_fpr
@@ -98,7 +99,20 @@ def sim_cases(draw):
     return config, topo, draw(st.lists(items, min_size=1, max_size=80))
 
 
+def pi_case(n, topology_seed, capacity, k, seed, items):
+    """A pi run on small filters (target fpr 0.3), where false positives
+    are common."""
+    config = SimConfig(strategy=GROUND_TRUTH_STRATEGY, locations_per_item=k,
+                       store_capacity=capacity, target_fpr=0.3, seed=seed)
+    return config, generate_synthetic_topology(n, seed=topology_seed), items
+
+
+@pytest.mark.deep
 @given(sim_cases())
+# pi next to a false positive: on a miss (item 1 at request 2), and cheaper
+# than the designated store that holds the item (item 5 at request 3).
+@example(pi_case(3, 0, 1, 1, 0, [0, 1]))
+@example(pi_case(4, 0, 2, 1, 1, [5, 1, 5]))
 def test_run_equals_the_reference_model_request_by_request(case):
     config, topo, items = case
     got = run(config, topo, items, record_log=True)

@@ -51,6 +51,18 @@ def test_sim_config_validation():
         SimConfig(strategy="pgm", miss_penalty=1.5)
     SimConfig(strategy="pgm", miss_penalty=2.0)
     SimConfig(strategy="pi", miss_penalty=1.5)
+    # Counts and the seed are integers, not bools; the strategy is a name.
+    for field, value in [("store_capacity", 2.5), ("locations_per_item", 1.5),
+                         ("seed", 1.5), ("locations_per_item", True), ("seed", "3")]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SimConfig(strategy="cpi", **{field: value})
+    with pytest.raises(ValueError, match="^locations_per_item must be an integer, got True$"):
+        run_grid(["cpi"], [100.0], [True], [0], trace=["x"])
+    with pytest.raises(ValueError, match="^strategy must be a str, got 5$"):
+        SimConfig(strategy=5)
+    config = SimConfig(strategy="cpi", locations_per_item=np.int64(2), seed=np.uint8(3))
+    assert (config.locations_per_item, config.seed) == (2, 3)
+    assert type(config.locations_per_item) is type(config.seed) is int
 
 
 def test_sim_config_rejects_non_finite_miss_penalty():
@@ -232,6 +244,21 @@ def test_empty_trace_fails_before_allocation(monkeypatch):
         run_grid(["cpi"], [100.0], [1], [0], trace=[])
     with pytest.raises(ValueError, match="^trace contains no items$"):
         run_with_baseline(config, trace=[])
+
+
+@pytest.mark.parametrize("axis", ["strategies", "betas", "ks", "seeds"])
+def test_empty_grid_axis_fails_before_loading(axis, monkeypatch):
+    import dss.sim
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a topology was loaded or a filter bank allocated")
+
+    monkeypatch.setattr(dss.sim, "_as_topology", no_load)
+    monkeypatch.setattr(dss.sim, "FilterBank", no_load)
+    grid = {"strategies": ["cpi"], "betas": [100.0], "ks": [1, 2], "seeds": [0, 1]}
+    grid[axis] = []
+    with pytest.raises(ValueError, match=f"^{axis} must not be empty$"):
+        run_grid(**grid, trace=zipf_trace(500, 100, seed=1), store_capacity=10)
 
 
 def test_pi_is_cpi_over_the_designated_holders(monkeypatch):
