@@ -15,8 +15,10 @@ processes regardless of interpreter hash randomization.
 
 A ``FilterBank`` holds equally sized filters as the rows of one counter
 buffer, so "which filters indicate x?" is one gather over the item's index
-block (its counter indexes in every row). A ``CountingBloomFilter`` is one
-row of a bank; standing alone it is the single row of a bank of its own.
+block (its counter indexes in every row) and one reduce over the block's
+hash rows. A ``CountingBloomFilter`` is one row of a bank, whose indexes are
+one column of the block; standing alone it is the single row of a bank of
+its own.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ def index_block(
     item, seeds: Sequence[int], num_counters: int, num_hashes: int
 ) -> np.ndarray:
     """An item's counter indexes in filters laid end to end in one buffer,
-    one filter of ``num_counters`` counters per seed: ``num_hashes`` flat
-    indexes per filter, filter by filter.
+    one filter of ``num_counters`` counters per seed, as an int64 array of
+    shape ``(num_hashes, len(seeds))``: hash-major, so row i holds hash i's
+    flat index in every filter and column j holds filter j's indexes.
 
     h1 and h2 are reduced mod m before the arithmetic, which keeps
     (h1 + i*h2) mod m exact in 64 bits.
@@ -94,11 +97,11 @@ def index_block(
     halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(hashers), 2)
     halves = np.bitwise_or(halves, _ODD_H2)
     np.remainder(halves, m, out=halves)
-    block = steps * halves[:, 1:]
-    block += halves[:, :1]
+    block = steps * halves[:, 1]
+    block += halves[:, 0]
     np.remainder(block, m, out=block)
     block += offsets
-    return block.ravel().view(np.int64)
+    return block.view(np.int64)
 
 
 # ORed into an item's (h1, h2) digest halves: sets h2's low bit only.
@@ -110,14 +113,14 @@ def _block_plan(seeds: tuple, num_counters: int, num_hashes: int) -> tuple:
     """What ``index_block`` needs besides the item, for one filter layout:
     a blake2b hasher keyed by each filter's seed and fed nothing yet (an
     item's digest is a copy of it fed the item), the hash steps
-    0..num_hashes-1, and each filter's first flat index as a column. The
-    arrays are read-only."""
+    0..num_hashes-1 as a column, and each filter's first flat index as a
+    row. The arrays are read-only."""
     hashers = tuple(
         hashlib.blake2b(digest_size=16, key=(seed & _MASK64).to_bytes(8, "little"))
         for seed in seeds
     )
-    steps = np.arange(num_hashes, dtype=np.uint64)
-    offsets = np.arange(len(seeds), dtype=np.uint64)[:, None] * np.uint64(num_counters)
+    steps = np.arange(num_hashes, dtype=np.uint64)[:, None]
+    offsets = np.arange(len(seeds), dtype=np.uint64) * np.uint64(num_counters)
     steps.flags.writeable = False
     offsets.flags.writeable = False
     return hashers, steps, offsets
@@ -128,8 +131,9 @@ class FilterBank:
     uint8 counter buffer.
 
     ``block(item)`` hashes the item to its index block (see
-    ``index_block``). Each row's ``CountingBloomFilter`` view updates and
-    queries its own counters.
+    ``index_block``): one row per hash, one column per filter. Each row's
+    ``CountingBloomFilter`` view updates and queries its own counters
+    through its column of the block.
     """
 
     __slots__ = ("seeds", "num_counters", "num_hashes", "_buf", "_flat")
@@ -168,15 +172,14 @@ class FilterBank:
 
     def positives(self, block: np.ndarray) -> list[int]:
         """Rows whose counters under the item's index block are all positive."""
-        counts = self._flat.take(block).reshape(len(self.seeds), self.num_hashes)
-        return np.minimum.reduce(counts, axis=1).nonzero()[0].tolist()
+        return np.minimum.reduce(self._flat.take(block)).nonzero()[0].tolist()
 
 
 class CountingBloomFilter:
     """Seeded counting Bloom filter over opaque item ids: one row of a
     ``FilterBank``."""
 
-    __slots__ = ("bank", "row", "_span")
+    __slots__ = ("bank", "row")
 
     def __init__(self, num_counters: int, num_hashes: int = 5, seed: int = 0):
         self._attach(FilterBank((seed,), num_counters, num_hashes), 0)
@@ -184,7 +187,6 @@ class CountingBloomFilter:
     def _attach(self, bank: FilterBank, row: int) -> None:
         self.bank = bank
         self.row = row
-        self._span = slice(row * bank.num_hashes, (row + 1) * bank.num_hashes)
 
     @property
     def seed(self) -> int:
@@ -201,12 +203,12 @@ class CountingBloomFilter:
         return frozenset(i for i, value in enumerate(self.counters) if value == 255)
 
     def _indexes(self, item) -> list[int]:
-        return self.bank.block(item)[self._span].tolist()
+        return self.bank.block(item)[:, self.row].tolist()
 
     def insert(self, item, indexes: Sequence[int] | None = None) -> Sequence[int]:
         """Count the item in; returns its counter indexes, which ``remove``
         accepts in place of hashing the item again. ``indexes``, when given,
-        are the item's counter indexes in this filter (its slice of the
+        are the item's counter indexes in this filter (its column of the
         item's index block)."""
         if indexes is None:
             indexes = self._indexes(item)

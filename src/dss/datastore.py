@@ -4,8 +4,10 @@ miss-ratio estimate.
 The store holds at most ``capacity`` items; inserting beyond that evicts the
 least recently used one. Its counting Bloom filter indicator tracks contents
 exactly through inserts and evictions, so the filter answers yes for every
-cached item. The estimator watches the store's own access outcomes and
-exposes a smoothed miss ratio that selection strategies consume.
+cached item. A store whose indicator is None keeps no filter: its callers
+read its contents through ``holds``. The estimator watches the store's own
+access outcomes and exposes a smoothed miss ratio that selection strategies
+consume.
 """
 
 from __future__ import annotations
@@ -66,19 +68,21 @@ class RhoEstimator:
 
 
 class Datastore:
-    """LRU cache with indicator-consistent inserts, evictions and accesses."""
+    """LRU cache with indicator-consistent inserts, evictions and accesses.
+    ``indicator`` is None for a store that keeps no filter."""
 
     __slots__ = ("id", "capacity", "indicator", "estimator", "_contents")
 
-    def __init__(self, store_id: int, capacity: int, indicator: CountingBloomFilter):
+    def __init__(self, store_id: int, capacity: int, indicator: CountingBloomFilter | None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.id = store_id
         self.capacity = capacity
         self.indicator = indicator
         self.estimator = RhoEstimator()
-        # Resident item -> the counter indexes its insert bumped, so an
-        # eviction un-counts it without hashing it again.
+        # Resident item -> the counter indexes its insert bumped (None
+        # without a filter), so an eviction un-counts it without hashing it
+        # again.
         self._contents: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -101,13 +105,16 @@ class Datastore:
         """Add an item (most recently used position), evicting the least
         recently used one if full. Returns the evicted item or None.
         ``indexes``, when given, are the item's counter indexes in this
-        store's filter, so the filter need not look the item up again.
-        Inserting an item already present is a caller bug (InvariantError)."""
+        store's filter, so the filter need not look the item up again; a
+        store with no filter ignores them. Inserting an item already present
+        is a caller bug (InvariantError)."""
         if item in self._contents:
             raise InvariantError(f"item {item!r} already present in store {self.id}")
+        indicator = self.indicator
         evicted = None
         if len(self._contents) >= self.capacity:
             evicted, evicted_indexes = self._contents.popitem(last=False)
-            self.indicator.remove(evicted, evicted_indexes)
-        self._contents[item] = self.indicator.insert(item, indexes)
+            if indicator is not None:
+                indicator.remove(evicted, evicted_indexes)
+        self._contents[item] = None if indicator is None else indicator.insert(item, indexes)
         return evicted

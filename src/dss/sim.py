@@ -10,9 +10,10 @@ for every access. If no accessed store holds the item, the miss penalty is
 paid and the item is written to its k hash-designated stores.
 
 The ground-truth baseline "pi" is cpi under a perfect indicator: its
-candidates are the item's designated stores that hold it. A run of it under
-the same seed and trace provides the normalizer: reported AC and TC divide
-by the baseline's total cost, so 1.0 means "as good as never being misled".
+candidates are the item's designated stores that hold it. Nothing reads a
+filter there, so its stores keep none. A run of it under the same seed and
+trace provides the normalizer: reported AC and TC divide by the baseline's
+total cost, so 1.0 means "as good as never being misled".
 
 An item's hashes (its counter indexes in every store's filter and its store
 ranking for placement) depend only on the seed and the item, so runs that
@@ -25,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,6 +83,13 @@ class SimConfig:
         if not isinstance(self.strategy, str):
             raise ValueError(f"strategy must be a str, got {self.strategy!r}")
         object.__setattr__(self, "strategy", resolve_strategy(self.strategy))
+        for name in ("miss_penalty", "target_fpr", "alpha", "big_t"):
+            value = getattr(self, name)
+            if value is None and name == "big_t":
+                continue  # cost_matrix checks big_t against the topology
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
             raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
         for name, least in (("locations_per_item", 1), ("store_capacity", 1), ("seed", 0)):
@@ -165,9 +174,10 @@ _MAX_BANK_COUNTERS = 2**31
 
 class _ItemHashes:
     """Hash state per distinct item for one seed, filled as items first
-    appear: the item's index block in every store's filter, and its store
-    ranking, whose first k entries are ``designated_stores(item, k, ...)``
-    (in rank order, not sorted).
+    appear: the item's index block in every store's filter (hash-major, one
+    column per store; see ``index_block``), and its store ranking, whose
+    first k entries are ``designated_stores(item, k, ...)`` (in rank order,
+    not sorted).
 
     Rows live in fixed-size array chunks (an int32 index block and a
     small-int ranking per item), not in per-item Python containers.
@@ -198,8 +208,7 @@ class _ItemHashes:
         chunk, offset = divmod(row, _CHUNK_ROWS)
         seeds = self.filter_seeds
         if offset == 0:
-            width = len(seeds) * NUM_HASHES
-            self._blocks.append(np.empty((_CHUNK_ROWS, width), dtype=np.int32))
+            self._blocks.append(np.empty((_CHUNK_ROWS, NUM_HASHES, len(seeds)), dtype=np.int32))
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
         self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
@@ -239,16 +248,21 @@ def run(
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
     ``_shared`` is ``_make_shared``'s pair, which run_grid shares across
-    its runs; it must have been made for this config and topology.
+    its runs; it must have been made for this config and topology. A
+    ground-truth run builds no filter bank: its stores keep no filters.
     """
     topo = _as_topology(topology)
     items = _as_trace(trace)
     n_stores = len(topo.nodes)
     _check_locations(config.locations_per_item, n_stores)
     cost_rows, hashes = _shared or _make_shared(config, topo)
-    bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
-    stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
+    if ground_truth:
+        bank = None
+        stores = [Datastore(j, config.store_capacity, None) for j in range(n_stores)]
+    else:
+        bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
+        stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     strategy = STRATEGIES["cpi" if ground_truth else config.strategy]
 
     rng = np.random.default_rng(config.seed)
@@ -294,7 +308,7 @@ def run(
             misses += 1
             for j in ranking[:k].tolist():
                 if not stores[j].holds(item):
-                    stores[j].insert(item, block[j * NUM_HASHES:(j + 1) * NUM_HASHES].tolist())
+                    stores[j].insert(item, None if ground_truth else block[:, j].tolist())
         if log is not None:
             log.append((item, client, tuple(chosen), paid, hit))
 

@@ -171,10 +171,14 @@ def test_underflow_check_survives_python_O():
     assert done.returncode == 7, done.stderr
 
 
-def test_bank_rows_behave_like_standalone_filters():
+@pytest.mark.parametrize("num_hashes", [1, 4])
+@pytest.mark.parametrize("num_counters", [1, 2, 4, 97])
+def test_bank_rows_behave_like_standalone_filters(num_counters, num_hashes):
+    # At the small sizes an item's indexes repeat within a filter, and the
+    # bank's gather must still read each filter's own column of the block.
     seeds = (11, 12, 13)
-    bank = FilterBank(seeds, 97, 4)
-    alone = [CountingBloomFilter(97, 4, seed=s) for s in seeds]
+    bank = FilterBank(seeds, num_counters, num_hashes)
+    alone = [CountingBloomFilter(num_counters, num_hashes, seed=s) for s in seeds]
     rows = [bank.filter(j) for j in range(len(seeds))]
     rng = random.Random(45)
     for _ in range(300):

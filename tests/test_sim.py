@@ -63,6 +63,21 @@ def test_sim_config_validation():
     config = SimConfig(strategy="cpi", locations_per_item=np.int64(2), seed=np.uint8(3))
     assert (config.locations_per_item, config.seed) == (2, 3)
     assert type(config.locations_per_item) is type(config.seed) is int
+    # The cost figures are real numbers, not bools, and are stored as floats;
+    # big_t may also be None (its range depends on the topology).
+    for field, value in [("miss_penalty", True), ("alpha", False), ("miss_penalty", "100"),
+                         ("alpha", None), ("target_fpr", "0.02"), ("big_t", "x"),
+                         ("big_t", True), ("target_fpr", 1j)]:
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+            SimConfig(strategy="pi", **{field: value})
+    with pytest.raises(ValueError, match="^alpha must be a real number, got None$"):
+        run_grid(["cpi"], [100.0], [1], [0], trace=["x"], alpha=None)
+    config = SimConfig(strategy="cpi", miss_penalty=100, target_fpr=np.float32(0.5),
+                       alpha=np.int64(1), big_t=400)
+    assert (config.miss_penalty, config.alpha, config.big_t) == (100.0, 1.0, 400.0)
+    assert all(type(value) is float for value in (config.miss_penalty, config.target_fpr,
+                                                  config.alpha, config.big_t))
+    assert SimConfig(strategy="cpi").big_t is None
 
 
 def test_sim_config_rejects_non_finite_miss_penalty():
@@ -244,6 +259,20 @@ def test_empty_trace_fails_before_allocation(monkeypatch):
         run_grid(["cpi"], [100.0], [1], [0], trace=[])
     with pytest.raises(ValueError, match="^trace contains no items$"):
         run_with_baseline(config, trace=[])
+
+
+def test_ground_truth_builds_no_filter_bank(monkeypatch):
+    import dss.sim
+
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a filter bank was allocated")
+
+    monkeypatch.setattr(dss.sim, "FilterBank", no_bank)
+    trace = zipf_trace(300, 50, seed=4)
+    metrics = run(SimConfig(strategy="pi", locations_per_item=2, store_capacity=5), trace=trace)
+    assert metrics.requests == 300 and 0 < metrics.misses < 300
+    with pytest.raises(AssertionError, match="a filter bank was allocated"):
+        run(SimConfig(strategy="cpi", locations_per_item=2, store_capacity=5), trace=trace)
 
 
 @pytest.mark.parametrize("axis", ["strategies", "betas", "ks", "seeds"])
