@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +37,14 @@ _MASK64 = (1 << 64) - 1
 
 
 def _item_bytes(item) -> bytes:
+    """An item's hash input. Equal integers hash alike whatever their type
+    (a numpy integer as the Python int it equals); other non-bytes items
+    hash as their str."""
     if isinstance(item, bytes):
         return item
-    if isinstance(item, int):
-        return item.to_bytes(16, "little", signed=True)
+    # The plain int test first: it is far cheaper than the ABC's.
+    if isinstance(item, int) or isinstance(item, numbers.Integral):
+        return int(item).to_bytes(16, "little", signed=True)
     return str(item).encode("utf-8")
 
 

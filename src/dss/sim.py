@@ -15,10 +15,10 @@ filter there, so its stores keep none. A run of it under the same seed and
 trace provides the normalizer: reported AC and TC divide by the baseline's
 total cost, so 1.0 means "as good as never being misled".
 
-An item's hashes (its counter indexes in every store's filter and its store
-ranking for placement) depend only on the seed and the item, so runs that
-share a seed share one table of them: a grid hashes each item once per seed,
-not once per cell.
+An item's hashes (its store ranking for placement and, for filtered runs,
+its counter indexes in every store's filter) depend only on the seed and the
+item, so runs that share a seed share one table of them: a grid hashes each
+item once per seed, not once per cell.
 """
 
 from __future__ import annotations
@@ -174,29 +174,40 @@ _MAX_BANK_COUNTERS = 2**31
 
 class _ItemHashes:
     """Hash state per distinct item for one seed, filled as items first
-    appear: the item's index block in every store's filter (hash-major, one
-    column per store; see ``index_block``), and its store ranking, whose
-    first k entries are ``designated_stores(item, k, ...)`` (in rank order,
-    not sorted).
+    appear: its store ranking, whose first k entries are
+    ``designated_stores(item, k, ...)`` (in rank order, not sorted), and in
+    a ``filtered`` table (one for runs other than "pi") its index block in
+    every store's filter (hash-major, one column per store; see
+    ``index_block``). Only a filtered table sizes the filters, refusing a
+    bank that int32 index blocks cannot address.
 
     Rows live in fixed-size array chunks (an int32 index block and a
     small-int ranking per item), not in per-item Python containers.
     """
 
     __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
-                 "_rank_type")
+                 "_block_shape", "_rank_type")
 
-    def __init__(self, seed: int, n_stores: int, num_counters: int):
-        self.seed = seed
-        self.filter_seeds = tuple(seed * 1_000_003 + j for j in range(n_stores))
-        self.num_counters = num_counters
+    def __init__(self, config: SimConfig, n_stores: int, filtered: bool):
+        self.seed = config.seed
+        self.filter_seeds = tuple(config.seed * 1_000_003 + j for j in range(n_stores))
+        fpr, capacity = config.target_fpr, config.store_capacity
+        m = self.num_counters = size_for_target_fpr(capacity, fpr, NUM_HASHES) if filtered else 0
+        if n_stores * m > _MAX_BANK_COUNTERS:
+            raise ValueError(
+                f"target_fpr {fpr:g} at store_capacity {capacity} needs {m} counters per filter, "
+                f"{n_stores * m} over {n_stores} stores; at most {_MAX_BANK_COUNTERS} fit one "
+                "filter bank"
+            )
+        self._block_shape = (NUM_HASHES, n_stores) if filtered else (0, 0)
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
     def row(self, item) -> tuple[np.ndarray, np.ndarray]:
-        """The item's index block and store ranking (views into the table)."""
+        """The item's index block (empty unless filtered) and store ranking,
+        as views into the table."""
         row = self._rows.get(item)
         if row is None:
             row = self._fill(item)
@@ -208,28 +219,13 @@ class _ItemHashes:
         chunk, offset = divmod(row, _CHUNK_ROWS)
         seeds = self.filter_seeds
         if offset == 0:
-            self._blocks.append(np.empty((_CHUNK_ROWS, NUM_HASHES, len(seeds)), dtype=np.int32))
+            self._blocks.append(np.empty((_CHUNK_ROWS, *self._block_shape), dtype=np.int32))
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
-        self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
+        if self.num_counters:
+            self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
         self._rows[item] = row
         return row
-
-
-def _make_shared(config: SimConfig, topo: Topology) -> tuple[list, _ItemHashes]:
-    """What runs over one topology, seed and filter size share: the cost
-    rows and the item-hash table. They live only as long as the call that
-    made them (run or run_grid)."""
-    n_stores = len(topo.nodes)
-    num_counters = size_for_target_fpr(config.store_capacity, config.target_fpr, NUM_HASHES)
-    if n_stores * num_counters > _MAX_BANK_COUNTERS:
-        raise ValueError(
-            f"target_fpr {config.target_fpr:g} at store_capacity {config.store_capacity} "
-            f"needs {num_counters} counters per filter, {n_stores * num_counters} over "
-            f"{n_stores} stores; at most {_MAX_BANK_COUNTERS} fit one filter bank"
-        )
-    cost_rows = cost_matrix(topo, config.alpha, config.big_t).tolist()
-    return cost_rows, _ItemHashes(config.seed, n_stores, num_counters)
 
 
 def _check_locations(k: int, n_stores: int) -> None:
@@ -247,16 +243,17 @@ def run(
 ) -> SimMetrics:
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
-    ``_shared`` is ``_make_shared``'s pair, which run_grid shares across
-    its runs; it must have been made for this config and topology. A
-    ground-truth run builds no filter bank: its stores keep no filters.
+    A ground-truth run builds no filter bank; alone, it sizes no filter and
+    hashes no index block, so it takes any target fpr. ``_shared`` is
+    run_grid's (cost rows, item-hash table) pair for this config and topology.
     """
     topo = _as_topology(topology)
     items = _as_trace(trace)
     n_stores = len(topo.nodes)
     _check_locations(config.locations_per_item, n_stores)
-    cost_rows, hashes = _shared or _make_shared(config, topo)
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
+    cost_rows, hashes = _shared or (cost_matrix(topo, config.alpha, config.big_t).tolist(),
+                                    _ItemHashes(config, n_stores, not ground_truth))
     if ground_truth:
         bank = None
         stores = [Datastore(j, config.store_capacity, None) for j in range(n_stores)]
@@ -344,10 +341,11 @@ def run_grid(
 ) -> list[SimMetrics]:
     """Benchmark grid. The ground-truth baseline runs once per
     (beta, k, seed) cell, is the cell's "pi" row, and normalizes every row
-    of the cell. The cells of a seed share one cost matrix and one
-    item-hash table. An empty axis is refused and every cell's configs are
-    built, and so checked, before the topology or trace is loaded; every k
-    is checked against the topology's stores before the first run."""
+    of the cell. The cells share one cost matrix, and those of a seed one
+    item-hash table, with index blocks only if a strategy other than "pi"
+    runs. An empty axis is refused and every cell's configs are built, and
+    so checked, before the topology or trace is loaded; every k and the
+    filter size are checked before the first run."""
     for axis, values in dict(strategies=strategies, betas=betas, ks=ks, seeds=seeds).items():
         if len(values) == 0:
             raise ValueError(f"{axis} must not be empty")
@@ -368,14 +366,16 @@ def run_grid(
                 configs = [dataclasses.replace(cell, strategy=name) for name in strategies]
                 cells.append((cell, configs))
     topo = _as_topology(topology)
-    for k in ks:
-        _check_locations(k, len(topo.nodes))
+    n_stores = len(topo.nodes)
+    _check_locations(max(ks), n_stores)
     items = _as_trace(trace)
+    cost_rows = cost_matrix(topo, cells[0][0].alpha, cells[0][0].big_t).tolist()
+    filtered = any(config.strategy != GROUND_TRUTH_STRATEGY for config in cells[0][1])
     shared = {}
     rows = []
     for cell, configs in cells:
         if cell.seed not in shared:
-            shared[cell.seed] = _make_shared(cell, topo)
+            shared[cell.seed] = cost_rows, _ItemHashes(cell, n_stores, filtered)
         baseline = run(cell, topo, items, _shared=shared[cell.seed])
         for config in configs:
             if config.strategy == GROUND_TRUTH_STRATEGY:

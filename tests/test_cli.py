@@ -301,6 +301,15 @@ def test_oversized_filters_are_an_input_error(monkeypatch, capsys):
     assert "target_fpr" in err and "store_capacity" in err
 
 
+def test_ground_truth_alone_takes_any_target_fpr(capsys):
+    # pi keeps no filters, so a filter size no bank could hold is no error.
+    code, out, err = run_cli(["simulate", "--strategy", "pi", "--target-fpr", "1e-30",
+                              "--synth-requests", "2000"], capsys)
+    assert (code, err) == (0, "")
+    (row,) = parse_csv(out)
+    assert (row["fpr"], row["requests"], row["TC_norm"]) == ("1e-30", "2000", "1")
+
+
 def test_simulate_repeats_identically(tmp_path, capsys):
     args = ["simulate", "--strategy", "umb", "--k", "2", "--seed", "9"] + SMALL_SIM
     first = tmp_path / "a.csv"

@@ -25,6 +25,15 @@ import dss.strategies
 from dss.cbf import CountingBloomFilter, _item_bytes, index_block
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
 from dss.datastore import RhoEstimator
+from dss.homogeneous import (
+    HomogeneousParams,
+    cost_homo,
+    cpi_cost,
+    epi_cost,
+    fpo_access_count,
+    fpo_cost,
+    nx_distribution,
+)
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
@@ -739,8 +748,75 @@ def test_pot_within_cost_sum_ratio_of_optimum(ctx):
     assert phi(pot, ctx.miss_penalty) <= ratio * opt + 1e-9
 
 
+def homogeneous_context(n, cost, rho, beta):
+    return SelectionContext(tuple(DatastoreProfile(i, cost, rho) for i in range(n)), beta)
+
+
+# The selectors that minimize phi, and so meet FPO's closed form.
+PHI_MINIMIZERS = ("pot", "pp", "umb", "opt")
+
+
+@pytest.mark.deep
+@given(
+    st.integers(0, 19),
+    st.integers(1, 8).map(float),
+    st.one_of(st.sampled_from([0.0, 1e-9, 0.5]), rhos),
+    st.sampled_from([16.0, 37.5, 100.0, 1000.0, 2.0**20]),
+)
+# Ties on cost_homo, which go to fewer stores: one store at c + beta*rho ==
+# beta, and cost_homo(3) == cost_homo(4) at beta/c = 16, rho = 0.5.
+@example(1, 8.0, 0.5, 16.0)
+@example(6, 1.0, 0.5, 16.0)
+@example(6, 2.0, 0.5, 37.5)
+def test_phi_minimizers_take_fpo_access_count_on_homogeneous_contexts(n, cost, rho, beta):
+    """On n stores of one cost c and ratio rho, the phi-minimizers take
+    exactly fpo_access_count(n, beta/c, rho) stores, at phi equal to
+    c * cost_homo of that count up to rounding (1e-12 relative). pgm is
+    held to its 2*log2(beta) bound on that optimum."""
+    ctx = homogeneous_context(n, cost, rho, beta)
+    m = fpo_access_count(n, beta / cost, rho)
+    best = cost * cost_homo(m, beta / cost, rho)
+    for name in PHI_MINIMIZERS:
+        chosen = STRATEGIES[name](ctx)
+        assert len(chosen) == m, name
+        assert math.isclose(phi(chosen, beta), best, rel_tol=1e-12), name
+    assert phi(select_pgm(ctx), beta) <= 2.0 * math.log2(beta) * best * (1.0 + 1e-12)
+
+
+@pytest.mark.deep
+@given(
+    st.integers(1, 19),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([2.0, 16.0, 100.0, 2.0**20]), st.floats(2.0, 1e6)),
+)
+def test_selectors_weighted_by_nx_meet_the_closed_forms(n, hit, fpr, beta):
+    """Each selector's phi on k unit-cost stores at the population's rho,
+    weighted by nx_distribution(n, q)[k], sums to its closed form: FPO's
+    for the phi-minimizers, and cpi_cost and epi_cost for cpi and epi.
+    Only summation order differs: the tolerances, 2e-15 relative for
+    fpo_cost and 2e-14 for cpi_cost and epi_cost (whose powers of q come
+    from lgamma in the pmf), are 4-5x the worst of 2000 random draws. pgm
+    is held to 2*log2(beta) times fpo_cost."""
+    params = HomogeneousParams(n, hit, fpr, beta)
+    weights = nx_distribution(n, params.q)
+    expected = {}
+    for name, select in STRATEGIES.items():
+        expected[name] = math.fsum(
+            w * phi(select(homogeneous_context(k, 1.0, params.rho, beta)), beta)
+            for k, w in enumerate(weights)
+        )
+    fpo = fpo_cost(params)
+    for name in PHI_MINIMIZERS:
+        assert math.isclose(expected[name], fpo, rel_tol=2e-15), name
+    assert math.isclose(expected["cpi"], cpi_cost(params), rel_tol=2e-14)
+    assert math.isclose(expected["epi"], epi_cost(params), rel_tol=2e-14)
+    assert expected["pgm"] <= 2.0 * math.log2(beta) * fpo * (1.0 + 1e-12)
+
+
 filter_items = st.one_of(
-    st.integers(-20, 20), st.text(max_size=3), st.binary(max_size=3)
+    st.integers(-20, 20), st.integers(-20, 20).map(np.int64), st.text(max_size=3),
+    st.binary(max_size=3),
 )
 
 

@@ -1,5 +1,6 @@
 """Trace-driven simulation: placement, per-request flow, metrics, workloads."""
 
+import dataclasses
 import math
 import os
 
@@ -243,6 +244,31 @@ def test_oversized_filter_bank_fails_before_allocation(monkeypatch):
         run(config, trace=["x"])
     with pytest.raises(ValueError, match="target_fpr"):
         run_grid(["cpi"], [100.0], [1], [0], trace=["x"], target_fpr=1e-30)
+
+
+def test_ground_truth_alone_sizes_no_filter_and_hashes_no_block(monkeypatch):
+    # pi reads only store rankings, so a call that runs pi alone takes a
+    # target fpr whose filter bank could not be built.
+    import dss.sim
+
+    def no_filters(*args, **kwargs):
+        raise AssertionError("a filter was sized or an index block hashed")
+
+    monkeypatch.setattr(dss.sim, "index_block", no_filters)
+    monkeypatch.setattr(dss.sim, "size_for_target_fpr", no_filters)
+    trace = zipf_trace(300, 100, seed=4)
+    config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, target_fpr=1e-30)
+    alone = run(config, trace=trace)
+    assert 0 < alone.misses < alone.requests == 300
+    metrics, baseline = run_with_baseline(config, trace=trace)
+    assert metrics is baseline and metrics.tc_norm == 1.0
+    rows = run_grid(["pi"], [100.0], [1, 2], [0, 3], trace=trace, store_capacity=5,
+                    target_fpr=1e-30)
+    assert [m.tc_norm for m in rows] == [1.0] * 4
+    usual = run(dataclasses.replace(config, target_fpr=0.02), trace=trace)
+    assert (alone.access_cost, alone.misses) == (usual.access_cost, usual.misses)
+    with pytest.raises(AssertionError, match="a filter was sized"):
+        run_grid(["pi", "cpi"], [100.0], [1], [0], trace=trace, target_fpr=1e-30)
 
 
 def test_empty_trace_fails_before_allocation(monkeypatch):
@@ -512,13 +538,25 @@ def test_grid_hashes_each_item_once_per_seed_and_call(monkeypatch):
 
 
 def test_item_hash_state_is_compact():
+    # A table for pi alone keeps rankings only.
     import dss.sim
 
-    hashes = dss.sim._ItemHashes(seed=1, n_stores=19, num_counters=8181)
-    for item in range(3000):
-        hashes.row(item)
-    rows = 3 * dss.sim._CHUNK_ROWS
-    assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= 400
-    for item in (0, 1500, 2999):  # a row in every chunk
-        ranking = hashes.row(item)[1]
-        assert tuple(sorted(ranking[:3].tolist())) == designated_stores(item, 3, 19, seed=1)
+    for filtered, row_bytes in ((True, 400), (False, 19)):
+        hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=1), 19, filtered)
+        for item in range(3000):
+            hashes.row(item)
+        rows = 3 * dss.sim._CHUNK_ROWS
+        assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= row_bytes
+        for item in (0, 1500, 2999):  # a row in every chunk
+            ranking = hashes.row(item)[1]
+            assert tuple(sorted(ranking[:3].tolist())) == designated_stores(item, 3, 19, seed=1)
+
+
+def test_a_numpy_trace_runs_as_its_list():
+    # A numpy integer hashes as the Python int it equals, in the filters
+    # and in placement alike.
+    trace = zipf_trace(2000, 500, seed=3)
+    for name in ("cpi", "pi"):
+        config = SimConfig(strategy=name, locations_per_item=2, store_capacity=20)
+        want = metrics_csv([run(config, trace=trace)])
+        assert metrics_csv([run(config, trace=np.array(trace))]) == want
