@@ -37,15 +37,36 @@ _MASK64 = (1 << 64) - 1
 
 
 def _item_bytes(item) -> bytes:
-    """An item's hash input. Equal integers hash alike whatever their type
-    (a numpy integer as the Python int it equals); other non-bytes items
-    hash as their str."""
+    """An item's hash input. Numbers that compare equal hash alike whatever
+    their type: an integer, or a finite real number of integral value (a
+    numpy integer, 5.0), hashes as the Python int it equals, in 16 signed
+    little-endian bytes, or in as many more as an int outside that range
+    needs. Other non-bytes items hash as their str."""
     if isinstance(item, bytes):
         return item
-    # The plain int test first: it is far cheaper than the ABC's.
+    value = _integral_value(item)
+    if value is None:
+        return str(item).encode("utf-8")
+    try:
+        return value.to_bytes(16, "little", signed=True)
+    except OverflowError:
+        return value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+
+
+def _integral_value(item) -> int | None:
+    """The int a number equals, or None for an item that is not a number of
+    integral value (a string, a fraction, an infinity or nan)."""
+    # The plain int test first: it is far cheaper than the ABCs'.
     if isinstance(item, int) or isinstance(item, numbers.Integral):
-        return int(item).to_bytes(16, "little", signed=True)
-    return str(item).encode("utf-8")
+        return int(item)
+    if isinstance(item, numbers.Real):
+        try:
+            value = int(item)
+        except (OverflowError, ValueError):  # an infinity or nan
+            return None
+        if value == item:
+            return value
+    return None
 
 
 def size_for_target_fpr(capacity: int, target_fpr: float, num_hashes: int = 5) -> int:
@@ -85,28 +106,39 @@ def index_block(
     """An item's counter indexes in filters laid end to end in one buffer,
     one filter of ``num_counters`` counters per seed, as an int64 array of
     shape ``(num_hashes, len(seeds))``: hash-major, so row i holds hash i's
-    flat index in every filter and column j holds filter j's indexes.
+    flat index in every filter and column j holds filter j's indexes."""
+    return index_blocks((item,), seeds, num_counters, num_hashes)[0]
+
+
+def index_blocks(
+    items: Sequence, seeds: Sequence[int], num_counters: int, num_hashes: int
+) -> np.ndarray:
+    """Each item's ``index_block``, as an int64 array of shape
+    ``(len(items), num_hashes, len(seeds))``: one keyed digest per item and
+    seed, then one pass of array arithmetic over the whole batch.
 
     h1 and h2 are reduced mod m before the arithmetic, which keeps
     (h1 + i*h2) mod m exact in 64 bits.
     """
     hashers, steps, offsets = _block_plan(tuple(seeds), num_counters, num_hashes)
-    payload = _item_bytes(item)
     digests = []
-    for keyed in hashers:
-        h = keyed.copy()
-        h.update(payload)
-        digests.append(h.digest())
+    for item in items:
+        payload = _item_bytes(item)
+        for keyed in hashers:
+            h = keyed.copy()
+            h.update(payload)
+            digests.append(h.digest())
     m = np.uint64(num_counters)
-    # Columns h1 and h2; odd stride so double hashing never collapses to one index.
-    halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(hashers), 2)
+    # h1 and h2 per item and filter, with a unit axis for the hash steps; the
+    # odd stride keeps double hashing from collapsing to one index.
+    halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(len(items), 1, len(hashers), 2)
     halves = np.bitwise_or(halves, _ODD_H2)
     np.remainder(halves, m, out=halves)
-    block = steps * halves[:, 1]
-    block += halves[:, 0]
-    np.remainder(block, m, out=block)
-    block += offsets
-    return block.view(np.int64)
+    blocks = steps * halves[..., 1]
+    blocks += halves[..., 0]
+    np.remainder(blocks, m, out=blocks)
+    blocks += offsets
+    return blocks.view(np.int64)
 
 
 # ORed into an item's (h1, h2) digest halves: sets h2's low bit only.
@@ -115,7 +147,7 @@ _ODD_H2 = np.array([0, 1], dtype=np.uint64)
 
 @functools.lru_cache(maxsize=16)
 def _block_plan(seeds: tuple, num_counters: int, num_hashes: int) -> tuple:
-    """What ``index_block`` needs besides the item, for one filter layout:
+    """What ``index_blocks`` needs besides the items, for one filter layout:
     a blake2b hasher keyed by each filter's seed and fed nothing yet (an
     item's digest is a copy of it fed the item), the hash steps
     0..num_hashes-1 as a column, and each filter's first flat index as a

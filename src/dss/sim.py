@@ -18,7 +18,9 @@ total cost, so 1.0 means "as good as never being misled".
 An item's hashes (its store ranking for placement and, for filtered runs,
 its counter indexes in every store's filter) depend only on the seed and the
 item, so runs that share a seed share one table of them: a grid hashes each
-item once per seed, not once per cell.
+item once per seed, not once per cell. A grid's ground truth runs first and
+fills the table with rankings alone; the first filtered run then hashes
+those items' index blocks in batches, before its first request.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cbf import FilterBank, _item_bytes, index_block, size_for_target_fpr
+from .cbf import FilterBank, _item_bytes, index_blocks, size_for_target_fpr
 from .core import DatastoreProfile, SelectionContext, clamp_mis_ratio
 from .datastore import Datastore
 from .strategies import STRATEGIES
@@ -167,6 +169,11 @@ def _store_ranking(item, n_stores: int, seed: int) -> np.ndarray:
 # table grows, and at most one is partly empty.
 _CHUNK_ROWS = 1024
 
+# Most rows whose index blocks one numpy pass hashes: it bounds the pass's
+# temporaries. A divisor of _CHUNK_ROWS, so batches from row 0 fill whole
+# chunks.
+_BATCH_ROWS = 256
+
 # Counters in one run's filter bank, over all stores: the most that int32
 # index blocks can address.
 _MAX_BANK_COUNTERS = 2**31
@@ -181,12 +188,17 @@ class _ItemHashes:
     ``index_block``). Only a filtered table sizes the filters, refusing a
     bank that int32 index blocks cannot address.
 
+    Index blocks wait for ``hash_blocks``, which a filtered run calls before
+    its first request: the rows filled before then (a ground-truth run's
+    items) are hashed in batches of at most _BATCH_ROWS, and each row filled
+    after it hashes its own block.
+
     Rows live in fixed-size array chunks (an int32 index block and a
     small-int ranking per item), not in per-item Python containers.
     """
 
     __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
-                 "_block_shape", "_rank_type")
+                 "_unhashed", "_block_shape", "_rank_type")
 
     def __init__(self, config: SimConfig, n_stores: int, filtered: bool):
         self.seed = config.seed
@@ -203,16 +215,26 @@ class _ItemHashes:
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
+        # The items of the rows 0.. that have no index block yet, until
+        # hash_blocks; None after it, and in a table without blocks.
+        self._unhashed: list | None = [] if filtered else None
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
     def row(self, item) -> tuple[np.ndarray, np.ndarray]:
-        """The item's index block (empty unless filtered) and store ranking,
-        as views into the table."""
+        """The item's index block (empty unless filtered; unset until
+        ``hash_blocks``) and store ranking, as views into the table."""
         row = self._rows.get(item)
         if row is None:
             row = self._fill(item)
         chunk, offset = divmod(row, _CHUNK_ROWS)
         return self._blocks[chunk][offset], self._ranks[chunk][offset]
+
+    def hash_blocks(self) -> None:
+        """Hash the index block of every row that has none, and from now on
+        each new row's block as the row is filled."""
+        unhashed, self._unhashed = self._unhashed, None
+        if unhashed:
+            self._hash(0, unhashed)
 
     def _fill(self, item) -> int:
         row = len(self._rows)
@@ -221,11 +243,24 @@ class _ItemHashes:
         if offset == 0:
             self._blocks.append(np.empty((_CHUNK_ROWS, *self._block_shape), dtype=np.int32))
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
-        if self.num_counters:
-            self._blocks[chunk][offset] = index_block(item, seeds, self.num_counters, NUM_HASHES)
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
         self._rows[item] = row
+        if self._unhashed is not None:
+            self._unhashed.append(item)
+        elif self.num_counters:
+            self._hash(row, (item,))
         return row
+
+    def _hash(self, row: int, items: Sequence) -> None:
+        """Write the index blocks of ``items`` into the rows from ``row`` on,
+        one batch per slice of at most _BATCH_ROWS rows within a chunk."""
+        done = 0
+        while done < len(items):
+            chunk, offset = divmod(row + done, _CHUNK_ROWS)
+            count = min(_BATCH_ROWS, _CHUNK_ROWS - offset, len(items) - done)
+            self._blocks[chunk][offset:offset + count] = index_blocks(
+                items[done:done + count], self.filter_seeds, self.num_counters, NUM_HASHES)
+            done += count
 
 
 def _check_locations(k: int, n_stores: int) -> None:
@@ -244,7 +279,8 @@ def run(
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
     A ground-truth run builds no filter bank; alone, it sizes no filter and
-    hashes no index block, so it takes any target fpr. ``_shared`` is
+    hashes no index block, so it takes any target fpr. A filtered run first
+    hashes the blocks of the items the table holds without one. ``_shared`` is
     run_grid's (cost rows, item-hash table) pair for this config and topology.
     """
     topo = _as_topology(topology)
@@ -258,6 +294,7 @@ def run(
         bank = None
         stores = [Datastore(j, config.store_capacity, None) for j in range(n_stores)]
     else:
+        hashes.hash_blocks()
         bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
         stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
     strategy = STRATEGIES["cpi" if ground_truth else config.strategy]

@@ -25,9 +25,10 @@ The rest approximately minimize the expected-cost objective phi:
   candidates), the oracle the others are judged against.
 
 Each of these five refuses what it cannot take, and then answers a context
-of at most one candidate by one closed form, _at_most_one. pp, umb, pgm and
-opt pick among their proposals by one tie rule, _best_by_phi's: least phi,
-then fewer stores, then lexicographically smaller ids.
+of at most one candidate by one closed form, _at_most_one. pp, umb and pgm
+pick among their proposals by one tie rule, _best_by_phi's: least phi, then
+fewer stores, then lexicographically smaller ids; opt applies the same rule
+to its subset masks.
 
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
 and the demos all take the strategy set from it.
@@ -505,8 +506,10 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
     stores are built by doubling: the second half of the arrays is the
     first half plus the next store. Each pattern of the remaining high bits
     then adds its stores to those arrays. Every subset is thus folded in id
-    order, as _phi_by_id folds it, so each value equals its phi bit for bit,
-    and _best_by_phi breaks the ties among each pattern's minima.
+    order, as _phi_by_id folds it, so each value equals its phi bit for bit.
+    Only the masks at the least value so far are compared, by _best_by_phi's
+    tie rule on the masks themselves, and only the winner becomes a
+    selection.
     """
     n = ctx.n_positive
     if n > EXHAUSTIVE_MAX_CANDIDATES:
@@ -526,7 +529,8 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
         np.add(low_access[:half], p.access_cost, out=low_access[half : 2 * half])
         np.multiply(low_miss[:half], p.mis_ratio, out=low_miss[half : 2 * half])
     high = ordered[low_bits:]
-    tied: list[int] = []
+    best_value = math.inf
+    best: int | None = None
     for pattern in range(1 << len(high)):
         access, miss = low_access, low_miss
         for j, p in enumerate(high):
@@ -534,10 +538,27 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
                 access = access + p.access_cost
                 miss = miss * p.mis_ratio
         values = access + ctx.miss_penalty * miss
-        at_min = np.flatnonzero(values == values.min()).tolist()
-        tied += (pattern << low_bits | i for i in at_min)
-    subsets = ([p for j, p in enumerate(ordered) if mask >> j & 1] for mask in tied)
-    return _best_by_phi(subsets, ctx.miss_penalty)
+        value = float(values.min())
+        if value > best_value:
+            continue
+        if value < best_value:
+            best_value, best = value, None
+        for i in np.flatnonzero(values == value).tolist():
+            mask = pattern << low_bits | i
+            if best is None or _precedes(mask, best):
+                best = mask
+    return tuple(p for j, p in enumerate(ordered) if best >> j & 1)
+
+
+def _precedes(a: int, b: int) -> bool:
+    """Whether subset mask a comes before mask b (a != b) in _best_by_phi's
+    tie order: fewer stores, then lexicographically smaller ids. Bit j is
+    the j-th store in id order, so of two masks of one size the one holding
+    the lowest store where they differ has the smaller ids."""
+    if a.bit_count() != b.bit_count():
+        return a.bit_count() < b.bit_count()
+    differ = a ^ b
+    return a & differ & -differ != 0
 
 
 # Every selector by strategy name, in the order reports list them. A selector

@@ -4,11 +4,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dss.cbf import CountingBloomFilter, FilterBank, expected_fpr, size_for_target_fpr
+from dss.cbf import (
+    CountingBloomFilter,
+    FilterBank,
+    _item_bytes,
+    expected_fpr,
+    size_for_target_fpr,
+)
 from dss.core import InvariantError
 
 
@@ -195,3 +203,30 @@ def test_bank_rows_behave_like_standalone_filters(num_counters, num_hashes):
         assert bank.positives(bank.block(item)) == expected
     with pytest.raises(IndexError):
         bank.filter(3)
+
+
+def test_numbers_that_compare_equal_hash_alike():
+    # A real number of integral value is the int it equals; any other
+    # non-bytes item hashes as its str.
+    for same in (5.0, np.float64(5.0), np.float32(5.0), Fraction(10, 2), np.int8(5)):
+        assert _item_bytes(same) == _item_bytes(5), repr(same)
+    assert _item_bytes(float(2**200)) == _item_bytes(2**200)
+    for other, text in ((2.5, "2.5"), (Fraction(7, 2), "7/2"), (float("inf"), "inf"),
+                        (float("nan"), "nan"), ("5", "5")):
+        assert _item_bytes(other) == text.encode("utf-8")
+    f = CountingBloomFilter(64, 3, seed=1)
+    f.insert(5)
+    f.remove(5.0)
+    assert not any(f.counters)
+
+
+def test_every_integer_hashes_and_in_range_ones_keep_their_bytes():
+    for n in (0, -1, 5, 2**127 - 1, -(2**127)):
+        assert _item_bytes(n) == n.to_bytes(16, "little", signed=True)
+    big = (2**127, -(2**127) - 1, 2**128, -(2**128), 2**130, 10**100)
+    encodings = {_item_bytes(n) for n in big}
+    assert len(encodings) == len(big)
+    assert all(len(b) > 16 for b in encodings)
+    f = CountingBloomFilter(97, 5, seed=3)
+    f.insert(2**130)
+    assert 2**130 in f

@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dss.strategies
-from dss.cbf import CountingBloomFilter, _item_bytes, index_block
+from dss.cbf import CountingBloomFilter, _item_bytes, index_block, index_blocks
 from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
 from dss.datastore import RhoEstimator
 from dss.homogeneous import (
@@ -895,6 +895,30 @@ def test_index_block_matches_the_reference(item, seeds, num_counters, num_hashes
     want = reference_index_block(item, seeds, num_counters, num_hashes)
     assert got.dtype == want.dtype
     assert got.tolist() == want.reshape(len(seeds), num_hashes).T.tolist()
+
+
+@given(
+    st.lists(
+        st.one_of(
+            hashed_items,
+            st.integers(),
+            st.integers(-(2**63), 2**63 - 1).map(np.int64),
+            st.integers(0, 255).map(np.uint8),
+        ),
+        max_size=8,
+    ),
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=19),
+    st.one_of(st.integers(1, 2**20), st.integers(2**32 + 1, 2**40)),
+    st.integers(1, 8),
+)
+def test_index_blocks_are_index_block_item_by_item(items, seeds, num_counters, num_hashes):
+    blocks = index_blocks(items, seeds, num_counters, num_hashes)
+    assert blocks.dtype == np.int64
+    assert blocks.shape == (len(items), num_hashes, len(seeds))
+    for item, block in zip(items, blocks):
+        assert block.tolist() == index_block(item, seeds, num_counters, num_hashes).tolist()
+        want = reference_index_block(item, seeds, num_counters, num_hashes)
+        assert block.tolist() == want.reshape(len(seeds), num_hashes).T.tolist()
 
 
 @given(hashed_items, st.integers(1, 40), st.integers(0, 2**70), st.data())

@@ -254,7 +254,7 @@ def test_ground_truth_alone_sizes_no_filter_and_hashes_no_block(monkeypatch):
     def no_filters(*args, **kwargs):
         raise AssertionError("a filter was sized or an index block hashed")
 
-    monkeypatch.setattr(dss.sim, "index_block", no_filters)
+    monkeypatch.setattr(dss.sim, "index_blocks", no_filters)
     monkeypatch.setattr(dss.sim, "size_for_target_fpr", no_filters)
     trace = zipf_trace(300, 100, seed=4)
     config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, target_fpr=1e-30)
@@ -522,19 +522,66 @@ def test_grid_hashes_each_item_once_per_seed_and_call(monkeypatch):
     import dss.sim
 
     calls = []
-    real = dss.sim.index_block
+    real = dss.sim.index_blocks
 
-    def counted(item, *args):
-        calls.append(item)
-        return real(item, *args)
+    def counted(items, *args):
+        calls.extend(items)
+        return real(items, *args)
 
-    monkeypatch.setattr(dss.sim, "index_block", counted)
+    monkeypatch.setattr(dss.sim, "index_blocks", counted)
     trace = zipf_trace(400, 300, seed=22)
     for _ in range(2):  # nothing carries over from one call to the next
         calls.clear()
         run_grid(["cpi", "pi"], betas=[10.0, 100.0], ks=[1, 2], seeds=[3, 4],
                  trace=trace, store_capacity=10)
         assert sorted(calls) == sorted(list(set(trace)) * 2)
+
+
+def test_grid_hashes_the_ground_truths_items_in_batches(monkeypatch):
+    # The ground truth runs first and fills every item's row; the first
+    # filtered run then hashes their index blocks in batches of at most
+    # _BATCH_ROWS rows.
+    import dss.sim
+
+    batches = []
+    real = dss.sim.index_blocks
+
+    def counted(items, *args):
+        batches.append(len(items))
+        return real(items, *args)
+
+    monkeypatch.setattr(dss.sim, "index_blocks", counted)
+    trace = zipf_trace(3000, 5000, 0.6, seed=5)
+    distinct = len(set(trace))
+    assert distinct > dss.sim._CHUNK_ROWS
+    seeds = [3, 4]
+    run_grid(["pi", "cpi"], betas=[100.0], ks=[1, 2], seeds=seeds, trace=trace,
+             store_capacity=10)
+    assert sum(batches) == distinct * len(seeds)
+    assert max(batches) <= dss.sim._BATCH_ROWS
+    assert len(batches) <= (math.ceil(distinct / dss.sim._BATCH_ROWS) + 1) * len(seeds)
+
+
+@pytest.mark.parametrize("batch_rows, first, then", [(256, 1000, 300), (300, 1300, 0)])
+def test_deferred_index_blocks_equal_index_block(batch_rows, first, then, monkeypatch):
+    # Rows filled ranking-only, hashed in slices that a chunk's end may cut
+    # short, then rows that hash their own block as they are filled: every
+    # row's block is index_block's.
+    import dss.sim
+    from dss.cbf import index_block
+
+    monkeypatch.setattr(dss.sim, "_BATCH_ROWS", batch_rows)
+    hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=2), 7, True)
+    items = [f"item-{i}" for i in range(first)] + list(range(then))
+    for item in items[:first]:
+        hashes.row(item)
+    hashes.hash_blocks()
+    for item in items[first:]:
+        hashes.row(item)
+    assert len(hashes._blocks) == 2
+    for item in items:
+        want = index_block(item, hashes.filter_seeds, hashes.num_counters, dss.sim.NUM_HASHES)
+        assert np.array_equal(hashes.row(item)[0], want), item
 
 
 def test_item_hash_state_is_compact():
@@ -560,3 +607,21 @@ def test_a_numpy_trace_runs_as_its_list():
         config = SimConfig(strategy=name, locations_per_item=2, store_capacity=20)
         want = metrics_csv([run(config, trace=trace)])
         assert metrics_csv([run(config, trace=np.array(trace))]) == want
+
+
+def test_equal_numbers_are_one_item():
+    # 5 and 5.0 are one key of the item-hash table and of every store, so
+    # they must also hash alike, whichever of them comes first.
+    config = SimConfig(strategy="cpi", store_capacity=2, locations_per_item=2)
+    first_int = run(config, trace=[5, 5.0, 7, 5])
+    first_float = run(config, trace=[5.0, 5, 7, 5])
+    assert (first_int.access_cost, first_int.misses) == (first_float.access_cost,
+                                                         first_float.misses)
+    assert designated_stores(5.0, 3, 19, 1) == designated_stores(5, 3, 19, 1)
+
+
+def test_integers_of_any_size_run():
+    for name in ("cpi", "pi"):
+        metrics = run(SimConfig(strategy=name), trace=[2**130, 1, 2**130, -(2**127) - 1])
+        assert metrics.misses == 3
+    assert len(designated_stores(2**127, 1, 19, 0)) == 1

@@ -328,6 +328,26 @@ def test_exhaustive_equals_the_bit_matrix_search_past_one_chunk():
         assert select_exhaustive(ctx) == reference_exhaustive(ctx)
 
 
+def test_exhaustive_keeps_only_the_winning_tie(monkeypatch):
+    # Every 9-store subset of 19 equal stores ties at the optimum: C(19, 9)
+    # of them. The search compares their masks and builds one selection,
+    # which the tie rule's fewest stores and smallest ids pick.
+    import dss.strategies
+
+    received = []
+    best_by_phi = dss.strategies._best_by_phi
+
+    def counted(candidates, miss_penalty):
+        candidates = list(candidates)
+        received.extend(candidates)
+        return best_by_phi(candidates, miss_penalty)
+
+    monkeypatch.setattr(dss.strategies, "_best_by_phi", counted)
+    ctx = make_ctx([(j, 1.0, 0.5) for j in range(19)], 1000.0)
+    assert ids(select_exhaustive(ctx)) == list(range(9))
+    assert len(received) <= 1
+
+
 def test_exhaustive_memory_stays_small_at_the_candidate_limit():
     # The bit-matrix search peaked at 13.3 MiB on 20 candidates.
     rng = random.Random(40)
