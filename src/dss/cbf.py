@@ -38,10 +38,10 @@ _MASK64 = (1 << 64) - 1
 
 def _item_bytes(item) -> bytes:
     """An item's hash input. Numbers that compare equal hash alike whatever
-    their type: an integer, or a finite real number of integral value (a
-    numpy integer, 5.0), hashes as the Python int it equals, in 16 signed
-    little-endian bytes, or in as many more as an int outside that range
-    needs. Other non-bytes items hash as their str."""
+    their type: an integer, or a number of integral value (a numpy integer,
+    5.0, Decimal(5), 5+0j), hashes as the Python int it equals, in 16
+    signed little-endian bytes, or in as many more as an int outside that
+    range needs. Other non-bytes items hash as their str."""
     if isinstance(item, bytes):
         return item
     value = _integral_value(item)
@@ -55,13 +55,16 @@ def _item_bytes(item) -> bytes:
 
 def _integral_value(item) -> int | None:
     """The int a number equals, or None for an item that is not a number of
-    integral value (a string, a fraction, an infinity or nan)."""
+    integral value (a string, a fraction, a complex number off the real
+    axis, an infinity or nan)."""
     # The plain int test first: it is far cheaper than the ABCs'.
     if isinstance(item, int) or isinstance(item, numbers.Integral):
         return int(item)
-    if isinstance(item, numbers.Real):
+    # Decimal is a Number but not Complex; a complex number has no int, so
+    # its real part is converted and the comparison checks the imaginary one.
+    if isinstance(item, numbers.Number):
         try:
-            value = int(item)
+            value = int(item.real if isinstance(item, numbers.Complex) else item)
         except (OverflowError, ValueError):  # an infinity or nan
             return None
         if value == item:

@@ -25,10 +25,10 @@ The rest approximately minimize the expected-cost objective phi:
   candidates), the oracle the others are judged against.
 
 Each of these five refuses what it cannot take, and then answers a context
-of at most one candidate by one closed form, _at_most_one. pp, umb and pgm
-pick among their proposals by one tie rule, _best_by_phi's: least phi, then
-fewer stores, then lexicographically smaller ids; opt applies the same rule
-to its subset masks.
+of at most one candidate by one closed form, _at_most_one. pp, umb, pgm and
+opt pick among their proposals by one tie rule, _best_by_phi's: least phi,
+then fewer stores, then lexicographically smaller ids. pgm and opt apply it
+to subset masks (bit j is the j-th candidate in id order) by _precedes.
 
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
 and the demos all take the strategy set from it.
@@ -36,12 +36,11 @@ and the demos all take the strategy set from it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -203,15 +202,14 @@ def _require_integer_costs(ctx: SelectionContext) -> dict:
     return costs
 
 
-def _phi_upper_bound(ctx: SelectionContext) -> float:
+def _phi_upper_bound(order: Iterable[DatastoreProfile], beta: float) -> float:
     """The smallest phi among the empty selection, every single store and
-    every prefix of the (misindication, id)-sorted candidates: an upper
-    bound on the optimum's phi, found in one sort."""
-    beta = ctx.miss_penalty
+    every prefix of ``order``, the candidates in (misindication, id) order:
+    an upper bound on the optimum's phi."""
     bound = beta
     access = 0.0
     miss = 1.0
-    for p in sorted(ctx.candidates, key=_RHO_ID):
+    for p in order:
         cost = p.access_cost
         rho = p.mis_ratio
         access += cost
@@ -262,7 +260,8 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
         return one
     beta = ctx.miss_penalty
     by_id = {p.id: p for p in ctx.candidates}
-    width = min(max_budget, math.floor(_phi_upper_bound(ctx)))
+    bound = _phi_upper_bound(sorted(ctx.candidates, key=_RHO_ID), beta)
+    width = min(max_budget, math.floor(bound))
     for budget in sorted({width, max_budget}):
         items = [
             KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
@@ -334,98 +333,78 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     return _best_by_phi((pool[:t] for value, pool, t in scored if value <= limit), beta)
 
 
-class PgmCandidate(NamedTuple):
-    """Partial selection carried through the partition-merge tree. Tuple
-    order is the merge's tie rule: least misindication product, then least
-    cost, then lexicographic ids."""
-
-    mis_product: float
-    cost: float
-    ids: tuple
+# The empty candidate: miss product 1, cost 0, no store.
+_PGM_EMPTY = (1.0, 0.0, 0)
 
 
-PGM_EMPTY = PgmCandidate(1.0, 0.0, ())
+def _ids_precede(a: int, b: int) -> bool:
+    """Whether mask a's stores come before mask b's (a != b) as tuples of
+    ids compare, bit j being the j-th store in id order.
+
+    Below the lowest bit where the masks differ they hold the same stores.
+    The mask that holds that bit comes first, unless the other mask, which
+    does not hold it, has no higher bit either: then that other mask is a
+    prefix of the first, and a prefix comes first."""
+    low = (a ^ b) & -(a ^ b)
+    if a & low:
+        return b > low
+    return a < low
 
 
-def _dyadic_range(cost: float) -> int:
-    """The t with 2**(t-1) <= cost < 2**t; costs >= 1 give t >= 1."""
-    return math.frexp(cost)[1]
-
-
-def _merge(
-    left: Sequence[PgmCandidate], right: Sequence[PgmCandidate], num_ranges: int
-) -> list[PgmCandidate]:
+def _merge(left: Sequence[tuple], right: Sequence[tuple], num_ranges: int) -> list[tuple]:
     """Merge two candidate lists, keeping the best union per dyadic range.
 
-    Every pairwise union (disjoint by construction, so costs add and
-    misindication products multiply) lands in the dyadic cost range
-    [2**(t-1), 2**t); per range the least union in tuple order survives.
-    Unions costing 2**num_ranges or more are dropped, and the empty
-    candidate is always retained. A union with the empty candidate is the
-    other candidate itself (x * 1.0 and x + 0.0 are x exactly, and its ids
-    are already sorted), so that candidate is kept as it is.
+    A candidate is a (miss product, cost, mask) tuple, and bit j of its mask
+    is the j-th store in id order, as in select_exhaustive. Every pairwise
+    union (disjoint by construction, so costs add, misindication products
+    multiply and masks or together) lands in the dyadic cost range t with
+    2**(t-1) <= cost < 2**t; per range the least union survives: least
+    product, then least cost, then the ids that come first as tuples
+    compare (_ids_precede). Unions costing 2**num_ranges or more are
+    dropped, and the empty candidate is always retained.
 
     ``right`` must be in nondecreasing cost order, as every list the merge
     tree builds is. Then once a union costs 2**num_ranges or more, so does
     every union of the same left candidate with a later right one, and the
     inner loop stops there.
     """
-    best: list[PgmCandidate | None] = [None] * (num_ranges + 1)
-    for a in left:
-        for b in right:
-            cost = a.cost + b.cost
+    frexp = math.frexp
+    best: list[tuple | None] = [None] * (num_ranges + 1)
+    for a_mis, a_cost, a_mask in left:
+        for b_mis, b_cost, b_mask in right:
+            cost = a_cost + b_cost
             if cost < 1.0:
                 continue  # only the empty-empty union; kept separately
-            t = _dyadic_range(cost)
+            t = frexp(cost)[1]
             if t > num_ranges:
                 break
-            mis = a.mis_product * b.mis_product
+            mis = a_mis * b_mis
             cur = best[t]
-            if cur is not None and (mis, cost) > cur[:2]:
-                continue
-            if not b.ids:
-                union = a
-            elif not a.ids:
-                union = b
-            else:
-                union = PgmCandidate(mis, cost, tuple(sorted(a.ids + b.ids)))
-            if cur is None or union < cur:
-                best[t] = union
-    return [PGM_EMPTY] + [c for c in best if c is not None]
-
-
-def _prefix_candidates(profiles: list[DatastoreProfile]) -> list[PgmCandidate]:
-    """Empty plus every prefix of the misindication-sorted store list."""
-    profiles = sorted(profiles, key=_RHO_ID)
-    out = [PGM_EMPTY]
-    ids: list = []
-    cost = 0.0
-    miss = 1.0
-    for p in profiles:
-        bisect.insort(ids, p.id)
-        cost += p.access_cost
-        miss *= p.mis_ratio
-        out.append(PgmCandidate(miss, cost, tuple(ids)))
-    return out
+            if cur is not None:
+                cur_mis, cur_cost, cur_mask = cur
+                if mis > cur_mis or mis == cur_mis and (
+                    cost > cur_cost
+                    or cost == cur_cost and not _ids_precede(a_mask | b_mask, cur_mask)
+                ):
+                    continue
+            best[t] = (mis, cost, a_mask | b_mask)
+    return [_PGM_EMPTY] + [c for c in best if c is not None]
 
 
 def _merge_subtrees(
-    left: list[PgmCandidate] | None,
-    right: list[PgmCandidate] | None,
-    num_ranges: int,
-    leaves: bool,
-) -> list[PgmCandidate] | None:
-    """_merge of two subtrees, None standing for [PGM_EMPTY].
+    left: list[tuple] | None, right: list[tuple] | None, num_ranges: int, leaves: bool
+) -> list[tuple] | None:
+    """_merge of two subtrees, None standing for [_PGM_EMPTY].
 
-    Merging a list with [PGM_EMPTY] only keeps its best candidate per range.
-    A list that came out of a merge is already that, so past the leaf level
-    a subtree with an empty sibling passes through unchanged.
+    Merging a list with [_PGM_EMPTY] only keeps its best candidate per
+    range. A list that came out of a merge is already that, so past the
+    leaf level a subtree with an empty sibling passes through unchanged.
     """
     if left is None or right is None:
         only = right if left is None else left
         if only is None or not leaves:
             return only
-        return _merge(only, [PGM_EMPTY], num_ranges)
+        return _merge(only, [_PGM_EMPTY], num_ranges)
     return _merge(left, right, num_ranges)
 
 
@@ -440,6 +419,20 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     wins. Stores costing 2**r or more are ignored: their cost alone is at
     least the miss penalty.
 
+    The tree carries (miss product, cost, mask) tuples, bit j of a mask
+    being the j-th store in id order, as in select_exhaustive: a union is
+    the two masks ored, and _merge breaks an exact tie between unions with
+    one bit test (_ids_precede). The candidates are sorted by
+    (misindication, id) once; that order gives _phi_upper_bound and, split
+    by band, every band's prefixes, with no sort of their own.
+
+    At the root, each candidate's phi in merge order (its cost and product
+    as the merges added and multiplied them) differs from its phi in id
+    order by rounding only, far below a relative 1e-12. So only the
+    candidates within 1e-12 of the least merge-order phi can win: just
+    those are rescored in id order, as _phi_by_id folds them, and an exact
+    tie goes to _precedes, which is _best_by_phi's rule on masks.
+
     A first pass keeps only the ranges below kept = the dyadic range of
     _phi_upper_bound: it drops the bands and unions that cost 2**kept or
     more, on the same tree. Each range keeps its best union independently,
@@ -448,35 +441,48 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     least their cost, so a best phi below 2**kept is final; otherwise the
     merge runs again over all r ranges.
     """
-    if ctx.miss_penalty < 2.0:
-        raise ValueError(
-            f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
-        )
-    mantissa, exponent = math.frexp(ctx.miss_penalty)
+    beta = ctx.miss_penalty
+    if beta < 2.0:
+        raise ValueError(f"partition-merge needs miss_penalty >= 2, got {beta}")
+    mantissa, exponent = math.frexp(beta)
     num_ranges = exponent - (mantissa == 0.5)
     one = _at_most_one(ctx)
     if one is not None:
         return one
-    kept = min(num_ranges, _dyadic_range(_phi_upper_bound(ctx)))
-    best = _pgm_pass(ctx, num_ranges, kept)
+    by_id = _by_id(ctx.candidates)
+    order = sorted(by_id, key=_RHO_ID)
+    kept = min(num_ranges, math.frexp(_phi_upper_bound(order, beta))[1])
+    value, best = _pgm_pass(order, by_id, beta, num_ranges, kept)
     # A candidate's range comes from its cost summed in merge order, phi sums
     # the same costs in id order; the margin covers the rounding.
-    limit = math.ldexp(1.0 - 1e-12, kept)
-    if kept < num_ranges and _phi_by_id(best, ctx.miss_penalty) >= limit:
-        best = _pgm_pass(ctx, num_ranges, num_ranges)
+    if kept < num_ranges and value >= math.ldexp(1.0 - 1e-12, kept):
+        value, best = _pgm_pass(order, by_id, beta, num_ranges, num_ranges)
     return best
 
 
-def _pgm_pass(ctx: SelectionContext, num_ranges: int, kept: int) -> Selection:
+def _pgm_pass(
+    order: Sequence[DatastoreProfile],
+    by_id: Sequence[DatastoreProfile],
+    beta: float,
+    num_ranges: int,
+    kept: int,
+) -> tuple[float, Selection]:
     """select_pgm's merge tree over num_ranges bands, keeping only the bands
-    and unions that cost less than 2**kept."""
-    bands: list[list[DatastoreProfile]] = [[] for _ in range(num_ranges)]
-    for p in ctx.candidates:
-        j = _dyadic_range(p.access_cost) - 1
+    and unions that cost less than 2**kept: the phi of its answer, and the
+    answer. ``order`` holds the candidates in (misindication, id) order,
+    ``by_id`` in id order."""
+    bit = {p.id: 1 << j for j, p in enumerate(by_id)}
+    # None stands for a subtree of empty bands, whose list is [_PGM_EMPTY].
+    lists: list[list[tuple] | None] = [None] * num_ranges
+    for p in order:
+        cost = p.access_cost
+        j = math.frexp(cost)[1] - 1
         if j < kept:
-            bands[j].append(p)
-    # None stands for a subtree of empty bands, whose list is [PGM_EMPTY].
-    lists = [_prefix_candidates(band) if band else None for band in bands]
+            band = lists[j]
+            if band is None:
+                band = lists[j] = [_PGM_EMPTY]
+            mis, total, mask = band[-1]
+            band.append((mis * p.mis_ratio, total + cost, mask | bit[p.id]))
     leaves = True
     while len(lists) > 1:
         if len(lists) % 2:
@@ -486,10 +492,19 @@ def _pgm_pass(ctx: SelectionContext, num_ranges: int, kept: int) -> Selection:
             for i in range(0, len(lists), 2)
         ]
         leaves = False
-    by_id = {p.id: p for p in ctx.candidates}
-    root = lists[0] or [PGM_EMPTY]
-    proposals = [[by_id[i] for i in cand.ids] for cand in root]
-    return _best_by_phi(proposals, ctx.miss_penalty)
+    root = lists[0] or [_PGM_EMPTY]
+    scored = [(cost + beta * mis, mask) for mis, cost, mask in root]
+    least = min(value for value, _ in scored)
+    limit = least + least * 1e-12
+    best: tuple | None = None
+    for value, mask in scored:
+        if value > limit:
+            continue
+        selection = tuple(p for j, p in enumerate(by_id) if mask >> j & 1)
+        value = _phi_by_id(selection, beta)
+        if best is None or value < best[0] or value == best[0] and _precedes(mask, best[1]):
+            best = (value, mask, selection)
+    return best[0], best[2]
 
 
 # select_exhaustive builds the sums of at most 2**16 subsets at a time.

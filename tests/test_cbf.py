@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -206,14 +207,19 @@ def test_bank_rows_behave_like_standalone_filters(num_counters, num_hashes):
 
 
 def test_numbers_that_compare_equal_hash_alike():
-    # A real number of integral value is the int it equals; any other
-    # non-bytes item hashes as its str.
-    for same in (5.0, np.float64(5.0), np.float32(5.0), Fraction(10, 2), np.int8(5)):
+    # A number of integral value is the int it equals; any other non-bytes
+    # item hashes as its str.
+    for same in (5.0, np.float64(5.0), np.float32(5.0), Fraction(10, 2), np.int8(5),
+                 Decimal(5), Decimal("5.000"), 5 + 0j, np.complex128(5), np.complex64(5)):
         assert _item_bytes(same) == _item_bytes(5), repr(same)
     assert _item_bytes(float(2**200)) == _item_bytes(2**200)
+    assert _item_bytes(Decimal(2**130)) == _item_bytes(2**130)
+    assert _item_bytes(complex(-(2.0**130), 0.0)) == _item_bytes(-(2**130))
     for other, text in ((2.5, "2.5"), (Fraction(7, 2), "7/2"), (float("inf"), "inf"),
-                        (float("nan"), "nan"), ("5", "5")):
-        assert _item_bytes(other) == text.encode("utf-8")
+                        (float("nan"), "nan"), ("5", "5"), (Decimal("5.5"), "5.5"),
+                        (Decimal("NaN"), "NaN"), (Decimal("-Infinity"), "-Infinity"),
+                        (5 + 1j, "(5+1j)"), (complex(float("inf"), 0), "(inf+0j)")):
+        assert _item_bytes(other) == text.encode("utf-8"), repr(other)
     f = CountingBloomFilter(64, 3, seed=1)
     f.insert(5)
     f.remove(5.0)

@@ -8,12 +8,15 @@ are; these properties let a failure shrink to a minimal example. The
 profile is set in conftest.py.
 """
 
+import bisect
 import hashlib
 import itertools
 import math
+import random
 import re
 import sys
 from collections import Counter
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -43,15 +46,12 @@ from dss.knapsack import (
     solve_exact_all_budgets,
 )
 from dss.strategies import (
-    PGM_EMPTY,
     STRATEGIES,
-    PgmCandidate,
     _best_by_phi,
     _by_id,
-    _dyadic_range,
+    _ids_precede,
     _merge,
     _pgm_pass as pgm_pass,
-    _prefix_candidates,
     _require_integer_costs,
     phi,
     potential_state,
@@ -172,16 +172,73 @@ def reference_pp(ctx):
     )
 
 
+class PgmCandidate(NamedTuple):
+    """The partial selection the reference merge tree carries: misindication
+    product, cost and sorted id tuple. Tuple order is the merge's tie rule."""
+
+    mis_product: float
+    cost: float
+    ids: tuple
+
+
+PGM_EMPTY = PgmCandidate(1.0, 0.0, ())
+
+
+def dyadic_range(cost):
+    """The t with 2**(t-1) <= cost < 2**t; costs >= 1 give t >= 1."""
+    return math.frexp(cost)[1]
+
+
+def prefix_candidates(profiles):
+    """Empty plus every prefix of the misindication-sorted store list."""
+    profiles = sorted(profiles, key=lambda p: (p.mis_ratio, p.id))
+    out = [PGM_EMPTY]
+    ids = []
+    cost = 0.0
+    miss = 1.0
+    for p in profiles:
+        bisect.insort(ids, p.id)
+        cost += p.access_cost
+        miss *= p.mis_ratio
+        out.append(PgmCandidate(miss, cost, tuple(ids)))
+    return out
+
+
+def phi_by_id(selection, miss_penalty):
+    """phi of a selection already sorted by id."""
+    access = 0.0
+    miss = 1.0
+    for p in selection:
+        access += p.access_cost
+        miss *= p.mis_ratio
+    return access + miss_penalty * miss
+
+
+def best_by_phi(candidates, miss_penalty):
+    """Argmin of phi; ties prefer fewer stores, then lexicographic ids."""
+    best = None
+    best_key = None
+    for cand in candidates:
+        sel = tuple(sorted(cand, key=lambda p: p.id))
+        key = (phi_by_id(sel, miss_penalty), len(sel))
+        if best_key is None or key < best_key or (
+            key == best_key and [p.id for p in sel] < [p.id for p in best]
+        ):
+            best, best_key = sel, key
+    return best
+
+
 def reference_merge(left, right, num_ranges):
-    """_merge as it was before its early exit: every pair of candidates is
-    tried, whatever the lists' order."""
+    """_merge as it was before its early exit and its masks: every pair of
+    candidates is tried, whatever the lists' order, and each carries its
+    sorted id tuple."""
     best = {}
     for a in left:
         for b in right:
             cost = a.cost + b.cost
             if cost < 1.0:
                 continue  # only the empty-empty union; kept separately
-            t = _dyadic_range(cost)
+            t = dyadic_range(cost)
             if t > num_ranges:
                 continue
             mis = a.mis_product * b.mis_product
@@ -215,8 +272,9 @@ def exact_range_count(beta):
 
 def reference_pgm(ctx):
     """select_pgm as it was before its first pass, its closed form for one
-    candidate and its early exit: one merge over every dyadic range up to
-    the least r with 2**r >= beta, trying every pair."""
+    candidate, its early exit and its masks: one merge of id tuples over
+    every dyadic range up to the least r with 2**r >= beta, trying every
+    pair, and every root candidate rescored in id order."""
     if ctx.miss_penalty < 2.0:
         raise ValueError(
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
@@ -224,10 +282,10 @@ def reference_pgm(ctx):
     num_ranges = exact_range_count(ctx.miss_penalty)
     bands = [[] for _ in range(num_ranges)]
     for p in ctx.candidates:
-        j = _dyadic_range(p.access_cost) - 1
+        j = dyadic_range(p.access_cost) - 1
         if j < num_ranges:
             bands[j].append(p)
-    lists = [_prefix_candidates(band) if band else None for band in bands]
+    lists = [prefix_candidates(band) if band else None for band in bands]
     leaves = True
     while len(lists) > 1:
         if len(lists) % 2:
@@ -239,7 +297,7 @@ def reference_pgm(ctx):
         leaves = False
     by_id = {p.id: p for p in ctx.candidates}
     root = lists[0] or [PGM_EMPTY]
-    return _best_by_phi([[by_id[i] for i in c.ids] for c in root], ctx.miss_penalty)
+    return best_by_phi([[by_id[i] for i in c.ids] for c in root], ctx.miss_penalty)
 
 
 def reference_knap(ctx):
@@ -387,12 +445,12 @@ def test_a_bound_too_low_forces_both_second_passes():
         budgets.append(max_budget)
         return _runs(items, max_budget)
 
-    def pass_spy(ctx, num_ranges, kept):
+    def pass_spy(order, by_id, beta, num_ranges, kept):
         passes.append(kept)
-        return pgm_pass(ctx, num_ranges, kept)
+        return pgm_pass(order, by_id, beta, num_ranges, kept)
 
     forced = Counter()
-    with mock.patch.object(dss.strategies, "_phi_upper_bound", lambda ctx: 1.0), \
+    with mock.patch.object(dss.strategies, "_phi_upper_bound", lambda order, beta: 1.0), \
             mock.patch.object(dss.strategies, "_runs", solve_spy), \
             mock.patch.object(dss.strategies, "_pgm_pass", pass_spy):
         for ctx in golden_select_contexts():
@@ -459,8 +517,24 @@ def test_umb_equals_the_reference(ctx):
     assert select_dsalg_knap(ctx) == reference_knap(ctx)
 
 
+# Merge order folds {12, 19, 30, 35, 44}'s phi to 7.8, just below the 7.8 +
+# 1 ulp of {12, 19, 44}; in id order both are 7.8 + 1 ulp, and the smaller
+# set wins. pgm's root window must keep both for the id-order rescore.
+PGM_ROUNDING_CASE = SelectionContext(
+    (
+        DatastoreProfile(12, 1.5, 0.2),
+        DatastoreProfile(19, 1.2, 0.2),
+        DatastoreProfile(35, 1.3, 0.5),
+        DatastoreProfile(44, 1.1, 0.1),
+        DatastoreProfile(30, 1.3, 0.7),
+    ),
+    1000.0,
+)
+
+
 @pytest.mark.deep
 @given(pooled_contexts())
+@example(PGM_ROUNDING_CASE)
 def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
 
@@ -498,10 +572,25 @@ def pgm_candidate_lists(draw, first_id, in_cost_order=False):
     return draw(st.permutations(out))
 
 
+def masked(candidates):
+    """Id-tuple candidates as _merge's (product, cost, mask) tuples, id i
+    being bit i."""
+    return [(c.mis_product, c.cost, sum(1 << i for i in c.ids)) for c in candidates]
+
+
+def unmasked(candidates):
+    """_merge's candidates as id-tuple ones."""
+    return [
+        PgmCandidate(mis, cost, tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
+        for mis, cost, mask in candidates
+    ]
+
+
 @pytest.mark.deep
 @given(pgm_candidate_lists(0), pgm_candidate_lists(50, in_cost_order=True), st.integers(1, 6))
 def test_pgm_merge_of_a_cost_ordered_right_list_equals_the_reference(left, right, num_ranges):
-    assert _merge(left, right, num_ranges) == reference_merge(left, right, num_ranges)
+    merged = _merge(masked(left), masked(right), num_ranges)
+    assert unmasked(merged) == reference_merge(left, right, num_ranges)
 
 
 def test_pgm_merge_drops_a_union_costing_exactly_two_to_the_num_ranges():
@@ -509,29 +598,76 @@ def test_pgm_merge_drops_a_union_costing_exactly_two_to_the_num_ranges():
     the last range and, having the least product there, is its best."""
     a = PgmCandidate(mis_product=0.5, cost=4.0, ids=(1,))
     b = PgmCandidate(mis_product=0.5, cost=4.0, ids=(0,))
-    merged = _merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
-    assert merged == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
-    assert merged == [PGM_EMPTY, b]
+    merged = _merge(masked([PGM_EMPTY, a]), masked([PGM_EMPTY, b]), 3)
+    assert unmasked(merged) == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == [(1.0, 0.0, 0), (0.5, 4.0, 0b01)]
     b = b._replace(cost=math.nextafter(8.0, 0.0) - 4.0)
-    union = PgmCandidate(mis_product=0.25, cost=math.nextafter(8.0, 0.0), ids=(0, 1))
-    merged = _merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
-    assert merged == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
-    assert merged == [PGM_EMPTY, b, union]
+    merged = _merge(masked([PGM_EMPTY, a]), masked([PGM_EMPTY, b]), 3)
+    assert unmasked(merged) == reference_merge([PGM_EMPTY, a], [PGM_EMPTY, b], 3)
+    assert merged == [(1.0, 0.0, 0), (0.5, b.cost, 0b01), (0.25, math.nextafter(8.0, 0.0), 0b11)]
 
 
 @pytest.mark.deep
 @given(pgm_candidate_lists(0), st.integers(1, 6), st.booleans())
 def test_pgm_merge_with_the_empty_list_keeps_the_inputs_own_candidates(cands, num_ranges, on_left):
-    """Merging with [PGM_EMPTY], on either side, returns the other list's own
-    candidate objects, not rebuilt copies, and equals the reference."""
+    """Merging with the empty list, on either side, returns candidates of
+    the other list unchanged, and equals the reference."""
     if on_left:
         cands = sorted(cands, key=lambda c: c.cost)
         left, right = [PGM_EMPTY], cands
     else:
         left, right = cands, [PGM_EMPTY]
-    merged = _merge(left, right, num_ranges)
-    assert merged == reference_merge(left, right, num_ranges)
-    assert all(any(c is own for own in cands) for c in merged)
+    merged = _merge(masked(left), masked(right), num_ranges)
+    assert unmasked(merged) == reference_merge(left, right, num_ranges)
+    assert all(c in masked(cands) for c in merged)
+
+
+def positions(mask):
+    """The set bits of a mask, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_ids_precede_is_the_tuple_order_on_every_pair_of_small_masks():
+    for a, b in itertools.permutations(range(1 << 7), 2):
+        assert _ids_precede(a, b) == (positions(a) < positions(b)), (a, b)
+
+
+@given(st.integers(0, (1 << 20) - 1), st.integers(0, (1 << 20) - 1))
+# {0, 5} is a prefix of {0, 5, 7}; {0, 9} differs from {0, 5, 7} at 5.
+@example(0b100001, 0b10100001)
+@example(0b10100001, 0b100001)
+@example(0b1000000001, 0b10100001)
+@example(0, 1 << 19)
+def test_ids_precede_is_the_tuple_order_on_masks_of_twenty_bits(a, b):
+    if a != b:
+        assert _ids_precede(a, b) == (positions(a) < positions(b))
+
+
+@pytest.mark.deep
+def test_pgm_breaks_exact_merge_ties_as_the_id_tuples_do():
+    """Ratios that are powers of two (0.5, 0.25, 0.125), whose products are
+    exact, and integer costs 1-6, so that unions of different stores often
+    tie on (product, cost) exactly and the merge decides by _ids_precede:
+    pgm's answer stays the reference's, and the tie goes each way at least
+    ten times."""
+    ties = Counter()
+
+    def spy(a, b):
+        first = _ids_precede(a, b)
+        ties[first] += 1
+        return first
+
+    rng = random.Random(41)
+    with mock.patch.object(dss.strategies, "_ids_precede", spy):
+        for _ in range(300):
+            ids = rng.sample(range(100), rng.randint(2, 12))
+            stores = tuple(
+                DatastoreProfile(i, float(rng.randint(1, 6)), rng.choice((0.5, 0.25, 0.125)))
+                for i in ids
+            )
+            ctx = SelectionContext(stores, rng.choice((100.0, 1000.0, 1e4, 1e5)))
+            assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+    assert ties[True] >= 10 and ties[False] >= 10, ties
 
 
 @pytest.mark.parametrize(

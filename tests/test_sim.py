@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -610,14 +611,17 @@ def test_a_numpy_trace_runs_as_its_list():
 
 
 def test_equal_numbers_are_one_item():
-    # 5 and 5.0 are one key of the item-hash table and of every store, so
-    # they must also hash alike, whichever of them comes first.
+    # 5, 5.0, Decimal(5), 5+0j and numpy's complex 5 are one key of the
+    # item-hash table and of every store, so they must also hash alike,
+    # whichever of them comes first.
     config = SimConfig(strategy="cpi", store_capacity=2, locations_per_item=2)
-    first_int = run(config, trace=[5, 5.0, 7, 5])
-    first_float = run(config, trace=[5.0, 5, 7, 5])
-    assert (first_int.access_cost, first_int.misses) == (first_float.access_cost,
-                                                         first_float.misses)
-    assert designated_stores(5.0, 3, 19, 1) == designated_stores(5, 3, 19, 1)
+    first_int = run(config, trace=[5, 5, 7, 5])
+    for same in (5.0, Decimal(5), 5 + 0j, np.complex128(5)):
+        for trace in ([5, same, 7, 5], [same, 5, 7, 5]):
+            metrics = run(config, trace=trace)
+            assert (metrics.access_cost, metrics.misses) == (first_int.access_cost,
+                                                             first_int.misses), (trace,)
+        assert designated_stores(same, 3, 19, 1) == designated_stores(5, 3, 19, 1)
 
 
 def test_integers_of_any_size_run():

@@ -11,10 +11,8 @@ from dss.core import DatastoreProfile, InvariantError, SelectionContext
 import dss.strategies
 from dss.strategies import (
     EXHAUSTIVE_MAX_CANDIDATES,
-    PGM_EMPTY,
     PP_MAX_TABLE_CELLS,
     STRATEGIES,
-    PgmCandidate,
     _best_by_phi,
     _merge,
     phi,
@@ -166,45 +164,41 @@ def test_best_by_phi_on_an_empty_family_is_an_invariant_error():
         _best_by_phi(iter(()), 100.0)
 
 
+# _merge's candidates are (miss product, cost, mask) tuples; bit j of a mask
+# is the j-th store in id order.
+EMPTY = (1.0, 0.0, 0)
+L1, L2, L3, R1, R2 = (1 << j for j in range(5))
+
+
 def test_pgm_merge_keeps_best_union_per_cost_range():
-    left = [
-        PGM_EMPTY,
-        PgmCandidate(mis_product=0.9, cost=1.0, ids=("l1",)),
-        PgmCandidate(mis_product=0.6, cost=2.0, ids=("l2", "l3")),
-    ]
-    right = [PGM_EMPTY, PgmCandidate(mis_product=0.7, cost=3.0, ids=("r1",))]
+    left = [EMPTY, (0.9, 1.0, L1), (0.6, 2.0, L2 | L3)]
+    right = [EMPTY, (0.7, 3.0, R1)]
     merged = _merge(left, right, num_ranges=3)
-    assert merged[0] is PGM_EMPTY
-    assert [(c.cost, c.mis_product) for c in merged[1:]] == [
+    assert merged[0] == EMPTY
+    assert [(cost, mis) for mis, cost, _ in merged[1:]] == [
         (1.0, 0.9),
         (2.0, 0.6),
         (5.0, pytest.approx(0.42)),
     ]
-    assert merged[3].ids == ("l2", "l3", "r1")
+    assert merged[3][2] == L2 | L3 | R1
 
 
 class Unreachable:
     """A right-list candidate past the range limit, which the merge must
     never look at."""
 
-    @property
-    def cost(self):
+    def __iter__(self):
         raise AssertionError("the merge went on past the range limit")
 
 
 def test_pgm_merge_stops_at_the_first_union_past_the_range_limit():
-    left = [PGM_EMPTY, PgmCandidate(mis_product=0.5, cost=1.0, ids=("l1",))]
-    right = [
-        PGM_EMPTY,
-        PgmCandidate(mis_product=0.5, cost=2.0, ids=("r1",)),
-        PgmCandidate(mis_product=0.1, cost=8.0, ids=("r2",)),
-        Unreachable(),
-    ]
+    left = [EMPTY, (0.5, 1.0, L1)]
+    right = [EMPTY, (0.5, 2.0, R1), (0.1, 8.0, R2), Unreachable()]
     merged = _merge(left, right, num_ranges=3)
-    assert [(c.ids, c.cost) for c in merged] == [
-        ((), 0.0),
-        (("l1",), 1.0),
-        (("l1", "r1"), 3.0),
+    assert [(mask, cost) for _, cost, mask in merged] == [
+        (0, 0.0),
+        (L1, 1.0),
+        (L1 | R1, 3.0),
     ]
 
 
