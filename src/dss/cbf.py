@@ -37,39 +37,47 @@ _MASK64 = (1 << 64) - 1
 
 
 def _item_bytes(item) -> bytes:
-    """An item's hash input. Numbers that compare equal hash alike whatever
-    their type: an integer, or a number of integral value (a numpy integer,
-    5.0, Decimal(5), 5+0j), hashes as the Python int it equals, in 16
-    signed little-endian bytes, or in as many more as an int outside that
-    range needs. Other non-bytes items hash as their str."""
+    """An item's hash input: bytes as they are, an int of _number_key's in 16
+    signed little-endian bytes (or in as many more as an int outside that
+    range needs), and a text of _number_key's in UTF-8."""
     if isinstance(item, bytes):
         return item
-    value = _integral_value(item)
-    if value is None:
-        return str(item).encode("utf-8")
+    value = _number_key(item)
+    if isinstance(value, str):
+        return value.encode("utf-8")
     try:
         return value.to_bytes(16, "little", signed=True)
     except OverflowError:
         return value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
 
 
-def _integral_value(item) -> int | None:
-    """The int a number equals, or None for an item that is not a number of
-    integral value (a string, a fraction, a complex number off the real
-    axis, an infinity or nan)."""
+def _number_key(item) -> int | str:
+    """What an item hashes as. Numbers that compare equal hash alike whatever
+    their type: one of integral value (a numpy integer, 5.0, Decimal(5),
+    5+0j) as the Python int it equals; any other as the str of the float it
+    equals (Fraction(11, 2) as "5.5"), else as its exact ratio "n/d"
+    (Decimal("0.1") as "1/10"), and off the real axis as str(complex(item)).
+    Any other item, nan too (it equals nothing), hashes as its str."""
     # The plain int test first: it is far cheaper than the ABCs'.
     if isinstance(item, int) or isinstance(item, numbers.Integral):
         return int(item)
-    # Decimal is a Number but not Complex; a complex number has no int, so
-    # its real part is converted and the comparison checks the imaginary one.
-    if isinstance(item, numbers.Number):
+    if not isinstance(item, numbers.Number):
+        return str(item)
+    # A Decimal is a Number, not Complex, but it too has .real and .imag.
+    if getattr(item, "imag", 0):
+        return str(complex(item))
+    real = getattr(item, "real", item)
+    for exact in (int, float):
         try:
-            value = int(item.real if isinstance(item, numbers.Complex) else item)
-        except (OverflowError, ValueError):  # an infinity or nan
-            return None
-        if value == item:
-            return value
-    return None
+            value = exact(real)
+        except (OverflowError, ValueError):  # an infinity, a nan, a ratio past floats
+            continue
+        if value == real:
+            return value if exact is int else str(value)
+    try:
+        return "%d/%d" % real.as_integer_ratio()
+    except (AttributeError, ValueError):  # a nan
+        return str(item)
 
 
 def size_for_target_fpr(capacity: int, target_fpr: float, num_hashes: int = 5) -> int:

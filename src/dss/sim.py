@@ -19,8 +19,8 @@ An item's hashes (its store ranking for placement and, for filtered runs,
 its counter indexes in every store's filter) depend only on the seed and the
 item, so runs that share a seed share one table of them: a grid hashes each
 item once per seed, not once per cell. A grid's ground truth runs first and
-fills the table with rankings alone; the first filtered run then hashes
-those items' index blocks in batches, before its first request.
+fills the table with rankings alone; the table hashes those items' index
+blocks in batches as it hands the first filtered run its filter bank.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
-            raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
+        # The probe context refuses a miss penalty that is not finite and >= 1.
+        probe = SelectionContext((), self.miss_penalty)
         for name, least in (("locations_per_item", 1), ("store_capacity", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not hasattr(value, "__index__"):
@@ -109,7 +109,7 @@ class SimConfig:
         if self.strategy != GROUND_TRUTH_STRATEGY:
             # A selector that refuses this miss penalty refuses the empty
             # context too, so the refusal comes before any run.
-            STRATEGIES[self.strategy](SelectionContext((), self.miss_penalty))
+            STRATEGIES[self.strategy](probe)
 
 
 @dataclass
@@ -188,17 +188,17 @@ class _ItemHashes:
     ``index_block``). Only a filtered table sizes the filters, refusing a
     bank that int32 index blocks cannot address.
 
-    Index blocks wait for ``hash_blocks``, which a filtered run calls before
-    its first request: the rows filled before then (a ground-truth run's
-    items) are hashed in batches of at most _BATCH_ROWS, and each row filled
-    after it hashes its own block.
+    Index blocks wait for the first ``bank`` call, which a filtered run makes
+    before its first request: the rows filled before then (a ground-truth
+    run's items) are hashed in batches of at most _BATCH_ROWS, and each row
+    filled after it hashes its own block.
 
     Rows live in fixed-size array chunks (an int32 index block and a
     small-int ranking per item), not in per-item Python containers.
     """
 
     __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
-                 "_unhashed", "_block_shape", "_rank_type")
+                 "_hashing", "_block_shape", "_rank_type")
 
     def __init__(self, config: SimConfig, n_stores: int, filtered: bool):
         self.seed = config.seed
@@ -215,26 +215,26 @@ class _ItemHashes:
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
         self._ranks: list[np.ndarray] = []
-        # The items of the rows 0.. that have no index block yet, until
-        # hash_blocks; None after it, and in a table without blocks.
-        self._unhashed: list | None = [] if filtered else None
+        self._hashing = False
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
     def row(self, item) -> tuple[np.ndarray, np.ndarray]:
-        """The item's index block (empty unless filtered; unset until
-        ``hash_blocks``) and store ranking, as views into the table."""
+        """The item's index block (empty unless filtered; unset until the
+        first ``bank`` call) and store ranking, as views into the table."""
         row = self._rows.get(item)
         if row is None:
             row = self._fill(item)
         chunk, offset = divmod(row, _CHUNK_ROWS)
         return self._blocks[chunk][offset], self._ranks[chunk][offset]
 
-    def hash_blocks(self) -> None:
-        """Hash the index block of every row that has none, and from now on
-        each new row's block as the row is filled."""
-        unhashed, self._unhashed = self._unhashed, None
-        if unhashed:
-            self._hash(0, unhashed)
+    def bank(self) -> FilterBank:
+        """A new, empty filter bank over the table's filters. The first call
+        hashes the index block of every row filled so far, and turns on the
+        hashing of each new row's block as the row is filled."""
+        if not self._hashing:
+            self._hashing = True
+            self._hash(0, list(self._rows))
+        return FilterBank(self.filter_seeds, self.num_counters, NUM_HASHES)
 
     def _fill(self, item) -> int:
         row = len(self._rows)
@@ -245,9 +245,7 @@ class _ItemHashes:
             self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
         self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
         self._rows[item] = row
-        if self._unhashed is not None:
-            self._unhashed.append(item)
-        elif self.num_counters:
+        if self._hashing:
             self._hash(row, (item,))
         return row
 
@@ -279,8 +277,8 @@ def run(
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
     A ground-truth run builds no filter bank; alone, it sizes no filter and
-    hashes no index block, so it takes any target fpr. A filtered run first
-    hashes the blocks of the items the table holds without one. ``_shared`` is
+    hashes no index block, so it takes any target fpr. A filtered run's bank
+    comes from the item-hash table (``_ItemHashes.bank``). ``_shared`` is
     run_grid's (cost rows, item-hash table) pair for this config and topology.
     """
     topo = _as_topology(topology)
@@ -290,13 +288,9 @@ def run(
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
     cost_rows, hashes = _shared or (cost_matrix(topo, config.alpha, config.big_t).tolist(),
                                     _ItemHashes(config, n_stores, not ground_truth))
-    if ground_truth:
-        bank = None
-        stores = [Datastore(j, config.store_capacity, None) for j in range(n_stores)]
-    else:
-        hashes.hash_blocks()
-        bank = FilterBank(hashes.filter_seeds, hashes.num_counters, NUM_HASHES)
-        stores = [Datastore(j, config.store_capacity, bank.filter(j)) for j in range(n_stores)]
+    bank = None if ground_truth else hashes.bank()
+    stores = [Datastore(j, config.store_capacity, None if bank is None else bank.filter(j))
+              for j in range(n_stores)]
     strategy = STRATEGIES["cpi" if ground_truth else config.strategy]
 
     rng = np.random.default_rng(config.seed)

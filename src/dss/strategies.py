@@ -27,7 +27,8 @@ The rest approximately minimize the expected-cost objective phi:
 Each of these five refuses what it cannot take, and then answers a context
 of at most one candidate by one closed form, _at_most_one. pp, umb, pgm and
 opt pick among their proposals by one tie rule, _best_by_phi's: least phi,
-then fewer stores, then lexicographically smaller ids. pgm and opt apply it
+then fewer stores, then lexicographically smaller ids. pp, umb and pgm pick
+through _best_by_phi itself; opt, which streams its ties, applies the rule
 to subset masks (bit j is the j-th candidate in id order) by _precedes.
 
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
@@ -430,8 +431,7 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     as the merges added and multiplied them) differs from its phi in id
     order by rounding only, far below a relative 1e-12. So only the
     candidates within 1e-12 of the least merge-order phi can win: just
-    those are rescored in id order, as _phi_by_id folds them, and an exact
-    tie goes to _precedes, which is _best_by_phi's rule on masks.
+    those go on to _best_by_phi, which rescores them in id order.
 
     A first pass keeps only the ranges below kept = the dyadic range of
     _phi_upper_bound: it drops the bands and unions that cost 2**kept or
@@ -469,8 +469,9 @@ def _pgm_pass(
 ) -> tuple[float, Selection]:
     """select_pgm's merge tree over num_ranges bands, keeping only the bands
     and unions that cost less than 2**kept: the phi of its answer, and the
-    answer. ``order`` holds the candidates in (misindication, id) order,
-    ``by_id`` in id order."""
+    answer, which _best_by_phi picks among the root candidates within 1e-12
+    of the least merge-order phi. ``order`` holds the candidates in
+    (misindication, id) order, ``by_id`` in id order."""
     bit = {p.id: 1 << j for j, p in enumerate(by_id)}
     # None stands for a subtree of empty bands, whose list is [_PGM_EMPTY].
     lists: list[list[tuple] | None] = [None] * num_ranges
@@ -496,15 +497,9 @@ def _pgm_pass(
     scored = [(cost + beta * mis, mask) for mis, cost, mask in root]
     least = min(value for value, _ in scored)
     limit = least + least * 1e-12
-    best: tuple | None = None
-    for value, mask in scored:
-        if value > limit:
-            continue
-        selection = tuple(p for j, p in enumerate(by_id) if mask >> j & 1)
-        value = _phi_by_id(selection, beta)
-        if best is None or value < best[0] or value == best[0] and _precedes(mask, best[1]):
-            best = (value, mask, selection)
-    return best[0], best[2]
+    within = [mask for value, mask in scored if value <= limit]
+    best = _best_by_phi(([p for j, p in enumerate(by_id) if m >> j & 1] for m in within), beta)
+    return _phi_by_id(best, beta), best
 
 
 # select_exhaustive builds the sums of at most 2**16 subsets at a time.

@@ -1,5 +1,6 @@
 """Counting Bloom filter: sizing, membership semantics, false-positive rate."""
 
+import math
 import os
 import random
 import subprocess
@@ -207,18 +208,28 @@ def test_bank_rows_behave_like_standalone_filters(num_counters, num_hashes):
 
 
 def test_numbers_that_compare_equal_hash_alike():
-    # A number of integral value is the int it equals; any other non-bytes
-    # item hashes as its str.
+    # A number of integral value is the int it equals; any other number is
+    # the str of the float it equals, else its exact ratio, and off the real
+    # axis its complex str. Any other non-bytes item, nan too, hashes as its
+    # str.
     for same in (5.0, np.float64(5.0), np.float32(5.0), Fraction(10, 2), np.int8(5),
                  Decimal(5), Decimal("5.000"), 5 + 0j, np.complex128(5), np.complex64(5)):
         assert _item_bytes(same) == _item_bytes(5), repr(same)
     assert _item_bytes(float(2**200)) == _item_bytes(2**200)
     assert _item_bytes(Decimal(2**130)) == _item_bytes(2**130)
     assert _item_bytes(complex(-(2.0**130), 0.0)) == _item_bytes(-(2**130))
-    for other, text in ((2.5, "2.5"), (Fraction(7, 2), "7/2"), (float("inf"), "inf"),
+    for a, b in ((5.5, Fraction(11, 2)), (Decimal("0.1"), Fraction(1, 10)),
+                 (np.float32(0.1), float(np.float32(0.1))), (Decimal("Infinity"), math.inf),
+                 (5.5 + 0j, Decimal("5.5")), (Fraction(1, 3), Fraction(-2, -6)),
+                 (np.longdouble(2.5), 2.5), (5 + 1j, np.complex64(5 + 1j))):
+        assert a == b and hash(a) == hash(b)
+        assert _item_bytes(a) == _item_bytes(b), (a, b)
+    for other, text in ((2.5, "2.5"), (Fraction(7, 2), "3.5"), (float("inf"), "inf"),
                         (float("nan"), "nan"), ("5", "5"), (Decimal("5.5"), "5.5"),
-                        (Decimal("NaN"), "NaN"), (Decimal("-Infinity"), "-Infinity"),
-                        (5 + 1j, "(5+1j)"), (complex(float("inf"), 0), "(inf+0j)")):
+                        (Decimal("NaN"), "NaN"), (Decimal("-Infinity"), "-inf"),
+                        (5 + 1j, "(5+1j)"), (complex(float("inf"), 0), "inf"),
+                        (Fraction(1, 3), "1/3"), (Decimal("0.1"), "1/10"),
+                        (np.float32(0.1), "0.10000000149011612")):
         assert _item_bytes(other) == text.encode("utf-8"), repr(other)
     f = CountingBloomFilter(64, 3, seed=1)
     f.insert(5)

@@ -47,7 +47,6 @@ from dss.knapsack import (
 )
 from dss.strategies import (
     STRATEGIES,
-    _best_by_phi,
     _by_id,
     _ids_precede,
     _merge,
@@ -270,6 +269,28 @@ def exact_range_count(beta):
     return r
 
 
+def reference_root(ctx, num_ranges, kept):
+    """The root of a merge tree of id tuples over num_ranges bands, keeping
+    only the bands and unions that cost less than 2**kept, trying every
+    pair."""
+    bands = [[] for _ in range(num_ranges)]
+    for p in ctx.candidates:
+        j = dyadic_range(p.access_cost) - 1
+        if j < kept:
+            bands[j].append(p)
+    lists = [prefix_candidates(band) if band else None for band in bands]
+    leaves = True
+    while len(lists) > 1:
+        if len(lists) % 2:
+            lists.append(None)
+        lists = [
+            reference_merge_subtrees(lists[i], lists[i + 1], kept, leaves)
+            for i in range(0, len(lists), 2)
+        ]
+        leaves = False
+    return lists[0] or [PGM_EMPTY]
+
+
 def reference_pgm(ctx):
     """select_pgm as it was before its first pass, its closed form for one
     candidate, its early exit and its masks: one merge of id tuples over
@@ -280,29 +301,14 @@ def reference_pgm(ctx):
             f"partition-merge needs miss_penalty >= 2, got {ctx.miss_penalty}"
         )
     num_ranges = exact_range_count(ctx.miss_penalty)
-    bands = [[] for _ in range(num_ranges)]
-    for p in ctx.candidates:
-        j = dyadic_range(p.access_cost) - 1
-        if j < num_ranges:
-            bands[j].append(p)
-    lists = [prefix_candidates(band) if band else None for band in bands]
-    leaves = True
-    while len(lists) > 1:
-        if len(lists) % 2:
-            lists.append(None)
-        lists = [
-            reference_merge_subtrees(lists[i], lists[i + 1], num_ranges, leaves)
-            for i in range(0, len(lists), 2)
-        ]
-        leaves = False
     by_id = {p.id: p for p in ctx.candidates}
-    root = lists[0] or [PGM_EMPTY]
+    root = reference_root(ctx, num_ranges, num_ranges)
     return best_by_phi([[by_id[i] for i in c.ids] for c in root], ctx.miss_penalty)
 
 
 def reference_knap(ctx):
     """select_dsalg_knap as it was before its closed form and its
-    proposal-order scoring: _best_by_phi rescores every proposal."""
+    proposal-order scoring: best_by_phi rescores every proposal."""
     proposals = [()]
     proposals += ((p,) for p in ctx.candidates)
     weights = {p.id: clamped_log_hit_weight(p.mis_ratio) for p in ctx.candidates}
@@ -310,7 +316,7 @@ def reference_knap(ctx):
         pool = [p for p in ctx.candidates if p.access_cost <= tier]
         pool.sort(key=lambda p: (-(weights[p.id] / p.access_cost), p.id))
         proposals += (pool[:t] for t in range(2, len(pool) + 1))
-    return _best_by_phi(proposals, ctx.miss_penalty)
+    return best_by_phi(proposals, ctx.miss_penalty)
 
 
 def reference_potential_state(ctx):
@@ -537,6 +543,38 @@ PGM_ROUNDING_CASE = SelectionContext(
 @example(PGM_ROUNDING_CASE)
 def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+@pytest.mark.deep
+@given(pooled_contexts())
+@example(PGM_ROUNDING_CASE)
+def test_pgm_hands_best_by_phi_the_root_candidates_within_the_window(ctx):
+    """Each pass of pgm hands _best_by_phi exactly the candidates of its root
+    whose merge-order phi lies within 1e-12 of the root's least, and at least
+    one."""
+    passes = []
+    real_pass, real_best = pgm_pass, dss.strategies._best_by_phi
+
+    def pass_spy(order, by_id, beta, num_ranges, kept):
+        passes.append((num_ranges, kept, []))
+        return real_pass(order, by_id, beta, num_ranges, kept)
+
+    def best_spy(candidates, miss_penalty):
+        candidates = [list(c) for c in candidates]
+        passes[-1][2].extend(tuple(p.id for p in c) for c in candidates)
+        return real_best(candidates, miss_penalty)
+
+    with mock.patch.object(dss.strategies, "_pgm_pass", pass_spy), \
+            mock.patch.object(dss.strategies, "_best_by_phi", best_spy):
+        select_pgm(ctx)
+    beta = ctx.miss_penalty
+    for num_ranges, kept, handed in passes:
+        scored = [(c.cost + beta * c.mis_product, c.ids)
+                  for c in reference_root(ctx, num_ranges, kept)]
+        least = min(value for value, _ in scored)
+        within = sorted(ids for value, ids in scored if value <= least + least * 1e-12)
+        assert handed and sorted(handed) == within
+    assert bool(passes) == (ctx.n_positive >= 2)  # else the closed form answers
 
 
 @pytest.mark.deep

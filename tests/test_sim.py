@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -572,17 +573,42 @@ def test_deferred_index_blocks_equal_index_block(batch_rows, first, then, monkey
     from dss.cbf import index_block
 
     monkeypatch.setattr(dss.sim, "_BATCH_ROWS", batch_rows)
+    hashed = []
+    real = dss.sim.index_blocks
+
+    def counted(items, *args):
+        hashed.extend(items)
+        return real(items, *args)
+
+    monkeypatch.setattr(dss.sim, "index_blocks", counted)
     hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=2), 7, True)
     items = [f"item-{i}" for i in range(first)] + list(range(then))
     for item in items[:first]:
         hashes.row(item)
-    hashes.hash_blocks()
+    assert hashed == []
+    hashes.bank()
+    assert hashed == items[:first]
     for item in items[first:]:
         hashes.row(item)
+    # A second bank hashes nothing again, and rows filled after it still
+    # hash their own blocks.
+    hashed.clear()
+    hashes.bank()
+    assert hashed == []
+    items += [f"late-{i}" for i in range(5)]
+    for item in items[-5:]:
+        hashes.row(item)
+    assert hashed == items[-5:]
     assert len(hashes._blocks) == 2
     for item in items:
         want = index_block(item, hashes.filter_seeds, hashes.num_counters, dss.sim.NUM_HASHES)
         assert np.array_equal(hashes.row(item)[0], want), item
+    # A table without index blocks never hashes one.
+    hashed.clear()
+    plain = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=2), 7, False)
+    for item in items:
+        plain.row(item)
+    assert hashed == [] and plain._blocks[0].size == 0
 
 
 def test_item_hash_state_is_compact():
@@ -613,15 +639,19 @@ def test_a_numpy_trace_runs_as_its_list():
 def test_equal_numbers_are_one_item():
     # 5, 5.0, Decimal(5), 5+0j and numpy's complex 5 are one key of the
     # item-hash table and of every store, so they must also hash alike,
-    # whichever of them comes first.
+    # whichever of them comes first; and so must equal numbers of no
+    # integral value.
     config = SimConfig(strategy="cpi", store_capacity=2, locations_per_item=2)
-    first_int = run(config, trace=[5, 5, 7, 5])
-    for same in (5.0, Decimal(5), 5 + 0j, np.complex128(5)):
-        for trace in ([5, same, 7, 5], [same, 5, 7, 5]):
+    pairs = [(5, same) for same in (5.0, Decimal(5), 5 + 0j, np.complex128(5))]
+    pairs += [(5.5, Fraction(11, 2)), (Decimal("0.1"), Fraction(1, 10)),
+              (np.float32(0.1), float(np.float32(0.1))), (Decimal("Infinity"), math.inf)]
+    for a, b in pairs:
+        want = run(config, trace=[a, a, 7, a])
+        for trace in ([a, b, 7, a], [b, a, 7, a]):
             metrics = run(config, trace=trace)
-            assert (metrics.access_cost, metrics.misses) == (first_int.access_cost,
-                                                             first_int.misses), (trace,)
-        assert designated_stores(same, 3, 19, 1) == designated_stores(5, 3, 19, 1)
+            assert (metrics.access_cost, metrics.misses) == (want.access_cost,
+                                                             want.misses), (trace,)
+        assert designated_stores(b, 3, 19, 1) == designated_stores(a, 3, 19, 1)
 
 
 def test_integers_of_any_size_run():
