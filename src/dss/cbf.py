@@ -39,7 +39,8 @@ _MASK64 = (1 << 64) - 1
 def _item_bytes(item) -> bytes:
     """An item's hash input: bytes as they are, an int of _number_key's in 16
     signed little-endian bytes (or in as many more as an int outside that
-    range needs), and a text of _number_key's in UTF-8."""
+    range needs), and a text of _number_key's in UTF-8. An item that is no
+    number, str or bytes is a ValueError (see _number_key)."""
     if isinstance(item, bytes):
         return item
     value = _number_key(item)
@@ -52,17 +53,24 @@ def _item_bytes(item) -> bytes:
 
 
 def _number_key(item) -> int | str:
-    """What an item hashes as. Numbers that compare equal hash alike whatever
-    their type: one of integral value (a numpy integer, 5.0, Decimal(5),
-    5+0j) as the Python int it equals; any other as the str of the float it
-    equals (Fraction(11, 2) as "5.5"), else as its exact ratio "n/d"
-    (Decimal("0.1") as "1/10"), and off the real axis as str(complex(item)).
-    Any other item, nan too (it equals nothing), hashes as its str."""
+    """What an item hashes as. A str hashes as its text. Numbers that compare
+    equal hash alike whatever their type: one of integral value (a numpy
+    integer, 5.0, Decimal(5), 5+0j) as the Python int it equals; any other
+    as the str of the float it equals (Fraction(11, 2) as "5.5"), else as
+    its exact ratio "n/d" (Decimal("0.1") as "1/10"), and off the real axis
+    as str(complex(item)); nan, which equals nothing, as its str.
+
+    Any other item is a ValueError: its str need not be the same in every
+    process (a frozenset's order follows the str hash seed), nor alike for
+    items that compare equal ((1, 2) and (1.0, 2)), so no hash of it would
+    keep placements reproducible and equal items together."""
     # The plain int test first: it is far cheaper than the ABCs'.
     if isinstance(item, int) or isinstance(item, numbers.Integral):
         return int(item)
+    if isinstance(item, str):
+        return item
     if not isinstance(item, numbers.Number):
-        return str(item)
+        raise ValueError(f"an item must be a number, str or bytes, got {type(item)}")
     # A Decimal is a Number, not Complex, but it too has .real and .imag.
     if getattr(item, "imag", 0):
         return str(complex(item))

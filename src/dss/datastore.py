@@ -37,21 +37,20 @@ class RhoEstimator:
     Before any access at all, ``estimate`` is ``INITIAL_ESTIMATE``.
     """
 
-    __slots__ = ("_estimate", "_accesses", "_misses", "_epoch_misses")
+    __slots__ = ("_estimate", "_accesses", "_epoch_misses")
 
     def __init__(self):
         self._estimate = INITIAL_ESTIMATE
         self._accesses = 0
-        self._misses = 0
         self._epoch_misses = 0
 
     def record(self, miss: bool) -> None:
+        """Count one access; through the first epoch, its misses are all."""
         self._accesses += 1
         if miss:
-            self._misses += 1
             self._epoch_misses += 1
         if self._accesses <= EPOCH_LEN:
-            self._estimate = self._misses / self._accesses
+            self._estimate = self._epoch_misses / self._accesses
         if self._accesses % EPOCH_LEN == 0:
             if self._accesses > EPOCH_LEN:
                 epoch_ratio = self._epoch_misses / EPOCH_LEN

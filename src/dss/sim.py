@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import numbers
 import operator
 from dataclasses import dataclass

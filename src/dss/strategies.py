@@ -28,8 +28,9 @@ Each of these five refuses what it cannot take, and then answers a context
 of at most one candidate by one closed form, _at_most_one. pp, umb, pgm and
 opt pick among their proposals by one tie rule, _best_by_phi's: least phi,
 then fewer stores, then lexicographically smaller ids. pp, umb and pgm pick
-through _best_by_phi itself; opt, which streams its ties, applies the rule
-to subset masks (bit j is the j-th candidate in id order) by _precedes.
+through _best_by_phi itself, handing it proposals in id order; opt, which
+streams its ties, applies the rule to subset masks (bit j is the j-th
+candidate in id order) by _precedes, on _ids_precede's order of masks.
 
 STRATEGIES maps each strategy name to its selector; the simulator, the CLI
 and the demos all take the strategy set from it.
@@ -88,19 +89,20 @@ def _best_by_phi(
 ) -> Selection:
     """Argmin of phi; ties prefer fewer stores, then lexicographic ids.
 
+    Each proposal must already be in id order, as every proposer builds it:
+    it is scored by _phi_by_id and returned as it came, not sorted again.
     Every caller proposes at least one selection, so an empty family is an
     InvariantError, not a bad input.
     """
     best: Selection | None = None
     best_key: tuple | None = None
-    for cand in candidates:
-        sel = _by_id(cand)
+    for sel in candidates:
         key = (_phi_by_id(sel, miss_penalty), len(sel))
         if best_key is None or key < best_key or (key == best_key and _ids(sel) < _ids(best)):
             best, best_key = sel, key
     if best is None:
         raise InvariantError("no candidate selections supplied")
-    return best
+    return tuple(best)
 
 
 def _ids(selection: Selection) -> tuple:
@@ -289,7 +291,7 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
     more store into the previous one's access sum and miss product. That
     proposal-order phi differs from the id-order phi by rounding only, far
     below a relative 1e-12, so just the proposals within 1e-12 of the least
-    go on to _best_by_phi, which rescores them in id order.
+    go on, sorted into id order, to _best_by_phi, which rescores them.
     phi is at least the access sum, and the least phi only falls as the fold
     goes on, so once a prefix's access sum exceeds that window around the
     least phi so far, neither it nor a longer prefix of its tier is
@@ -331,7 +333,7 @@ def select_dsalg_knap(ctx: SelectionContext) -> Selection:
                 if value < least:
                     least = value
                     limit = least + least * 1e-12
-    return _best_by_phi((pool[:t] for value, pool, t in scored if value <= limit), beta)
+    return _best_by_phi((_by_id(pool[:t]) for value, pool, t in scored if value <= limit), beta)
 
 
 # The empty candidate: miss product 1, cost 0, no store.
@@ -392,23 +394,6 @@ def _merge(left: Sequence[tuple], right: Sequence[tuple], num_ranges: int) -> li
     return [_PGM_EMPTY] + [c for c in best if c is not None]
 
 
-def _merge_subtrees(
-    left: list[tuple] | None, right: list[tuple] | None, num_ranges: int, leaves: bool
-) -> list[tuple] | None:
-    """_merge of two subtrees, None standing for [_PGM_EMPTY].
-
-    Merging a list with [_PGM_EMPTY] only keeps its best candidate per
-    range. A list that came out of a merge is already that, so past the
-    leaf level a subtree with an empty sibling passes through unchanged.
-    """
-    if left is None or right is None:
-        only = right if left is None else left
-        if only is None or not leaves:
-            return only
-        return _merge(only, [_PGM_EMPTY], num_ranges)
-    return _merge(left, right, num_ranges)
-
-
 def select_pgm(ctx: SelectionContext) -> Selection:
     """Partition-generate-merge approximation.
 
@@ -452,11 +437,12 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     by_id = _by_id(ctx.candidates)
     order = sorted(by_id, key=_RHO_ID)
     kept = min(num_ranges, math.frexp(_phi_upper_bound(order, beta))[1])
-    value, best = _pgm_pass(order, by_id, beta, num_ranges, kept)
-    # A candidate's range comes from its cost summed in merge order, phi sums
-    # the same costs in id order; the margin covers the rounding.
-    if kept < num_ranges and value >= math.ldexp(1.0 - 1e-12, kept):
-        value, best = _pgm_pass(order, by_id, beta, num_ranges, num_ranges)
+    for limit in sorted({kept, num_ranges}):
+        best = _pgm_pass(order, by_id, beta, num_ranges, limit)
+        # A candidate's range comes from its cost summed in merge order, phi
+        # sums the same costs in id order; the margin covers the rounding.
+        if _phi_by_id(best, beta) < math.ldexp(1.0 - 1e-12, limit):
+            break
     return best
 
 
@@ -466,12 +452,12 @@ def _pgm_pass(
     beta: float,
     num_ranges: int,
     kept: int,
-) -> tuple[float, Selection]:
+) -> Selection:
     """select_pgm's merge tree over num_ranges bands, keeping only the bands
-    and unions that cost less than 2**kept: the phi of its answer, and the
-    answer, which _best_by_phi picks among the root candidates within 1e-12
-    of the least merge-order phi. ``order`` holds the candidates in
-    (misindication, id) order, ``by_id`` in id order."""
+    and unions that cost less than 2**kept, and its answer, which
+    _best_by_phi picks among the root candidates within 1e-12 of the least
+    merge-order phi. ``order`` holds the candidates in (misindication, id)
+    order, ``by_id`` in id order."""
     bit = {p.id: 1 << j for j, p in enumerate(by_id)}
     # None stands for a subtree of empty bands, whose list is [_PGM_EMPTY].
     lists: list[list[tuple] | None] = [None] * num_ranges
@@ -484,22 +470,30 @@ def _pgm_pass(
                 band = lists[j] = [_PGM_EMPTY]
             mis, total, mask = band[-1]
             band.append((mis * p.mis_ratio, total + cost, mask | bit[p.id]))
+    # A merge with [_PGM_EMPTY] keeps a list's best candidate per range, as a
+    # list out of a merge already is: past the leaves, a lone subtree passes
+    # up as it is. _merge mutates no input, so one empty list serves a pass.
+    empty = [_PGM_EMPTY]
     leaves = True
     while len(lists) > 1:
         if len(lists) % 2:
             lists.append(None)
-        lists = [
-            _merge_subtrees(lists[i], lists[i + 1], kept, leaves)
-            for i in range(0, len(lists), 2)
-        ]
+        merged = []
+        for left, right in zip(lists[::2], lists[1::2]):
+            if left and right:
+                merged.append(_merge(left, right, kept))
+            elif leaves and (left or right):
+                merged.append(_merge(left or empty, right or empty, kept))
+            else:
+                merged.append(left or right)
+        lists = merged
         leaves = False
-    root = lists[0] or [_PGM_EMPTY]
+    root = lists[0] or empty
     scored = [(cost + beta * mis, mask) for mis, cost, mask in root]
     least = min(value for value, _ in scored)
     limit = least + least * 1e-12
     within = [mask for value, mask in scored if value <= limit]
-    best = _best_by_phi(([p for j, p in enumerate(by_id) if m >> j & 1] for m in within), beta)
-    return _phi_by_id(best, beta), best
+    return _best_by_phi(([p for j, p in enumerate(by_id) if m >> j & 1] for m in within), beta)
 
 
 # select_exhaustive builds the sums of at most 2**16 subsets at a time.
@@ -562,13 +556,11 @@ def select_exhaustive(ctx: SelectionContext) -> Selection:
 
 def _precedes(a: int, b: int) -> bool:
     """Whether subset mask a comes before mask b (a != b) in _best_by_phi's
-    tie order: fewer stores, then lexicographically smaller ids. Bit j is
-    the j-th store in id order, so of two masks of one size the one holding
-    the lowest store where they differ has the smaller ids."""
+    tie order: fewer stores, then lexicographically smaller ids, which on
+    masks of one size (neither a prefix of the other) is _ids_precede's."""
     if a.bit_count() != b.bit_count():
         return a.bit_count() < b.bit_count()
-    differ = a ^ b
-    return a & differ & -differ != 0
+    return _ids_precede(a, b)
 
 
 # Every selector by strategy name, in the order reports list them. A selector

@@ -210,8 +210,8 @@ def test_bank_rows_behave_like_standalone_filters(num_counters, num_hashes):
 def test_numbers_that_compare_equal_hash_alike():
     # A number of integral value is the int it equals; any other number is
     # the str of the float it equals, else its exact ratio, and off the real
-    # axis its complex str. Any other non-bytes item, nan too, hashes as its
-    # str.
+    # axis its complex str; nan hashes as its str and a str as its text. Any
+    # other item is refused, as a test in test_sim.py checks.
     for same in (5.0, np.float64(5.0), np.float32(5.0), Fraction(10, 2), np.int8(5),
                  Decimal(5), Decimal("5.000"), 5 + 0j, np.complex128(5), np.complex64(5)):
         assert _item_bytes(same) == _item_bytes(5), repr(same)

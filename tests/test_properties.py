@@ -51,6 +51,7 @@ from dss.strategies import (
     _ids_precede,
     _merge,
     _pgm_pass as pgm_pass,
+    _precedes,
     _require_integer_costs,
     phi,
     potential_state,
@@ -538,9 +539,22 @@ PGM_ROUNDING_CASE = SelectionContext(
 )
 
 
+# Every cost lies in [2, 4): band 0 is empty and band 1 is not, so the leaf
+# level merges a lone band on the right, as _merge([_PGM_EMPTY], band).
+PGM_RIGHT_LONE_CASE = SelectionContext(
+    (
+        DatastoreProfile(3, 2.5, 0.3),
+        DatastoreProfile(7, 3.0, 0.2),
+        DatastoreProfile(5, 2.0, 0.5),
+    ),
+    100.0,
+)
+
+
 @pytest.mark.deep
 @given(pooled_contexts())
 @example(PGM_ROUNDING_CASE)
+@example(PGM_RIGHT_LONE_CASE)
 def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
     assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
 
@@ -666,8 +680,11 @@ def positions(mask):
 
 
 def test_ids_precede_is_the_tuple_order_on_every_pair_of_small_masks():
+    # _precedes adds the store count in front: the (popcount, id tuple) order.
     for a, b in itertools.permutations(range(1 << 7), 2):
         assert _ids_precede(a, b) == (positions(a) < positions(b)), (a, b)
+        assert _precedes(a, b) == ((a.bit_count(), positions(a))
+                                   < (b.bit_count(), positions(b))), (a, b)
 
 
 @given(st.integers(0, (1 << 20) - 1), st.integers(0, (1 << 20) - 1))

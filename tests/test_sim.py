@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import os
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dss.cbf import CountingBloomFilter
 from dss.datastore import Datastore
 from dss.sim import (
     METRICS_CSV_HEADER,
@@ -652,6 +654,24 @@ def test_equal_numbers_are_one_item():
             assert (metrics.access_cost, metrics.misses) == (want.access_cost,
                                                              want.misses), (trace,)
         assert designated_stores(b, 3, 19, 1) == designated_stores(a, 3, 19, 1)
+
+
+def test_items_that_are_no_number_str_or_bytes_are_refused():
+    # (1, 2) and (1.0, 2) are one key of the item-hash table and of every
+    # store, but their strs differ; a frozenset's str follows the str hash
+    # seed. Neither has a hash that keeps equal items together and
+    # placements the same in every process, so both are refused.
+    config = SimConfig(strategy="cpi", store_capacity=2, locations_per_item=2)
+    for item in ((1, 2), frozenset({"alpha", "beta", "gamma"})):
+        message = re.escape(f"an item must be a number, str or bytes, got {type(item)}")
+        with pytest.raises(ValueError, match=message):
+            run(config, trace=[item, 7, item])
+        with pytest.raises(ValueError, match=message):
+            designated_stores(item, 3, 19, 1)
+        with pytest.raises(ValueError, match=message):
+            CountingBloomFilter(64, 3, seed=1).insert(item)
+    with pytest.raises(ValueError, match="got <class 'tuple'>$"):
+        run(config, trace=[(1, 2), (1.0, 2), 7, (1, 2)])
 
 
 def test_integers_of_any_size_run():
