@@ -37,55 +37,28 @@ _MASK64 = (1 << 64) - 1
 
 
 def _item_bytes(item) -> bytes:
-    """An item's hash input: bytes as they are, an int of _number_key's in 16
-    signed little-endian bytes (or in as many more as an int outside that
-    range needs), and a text of _number_key's in UTF-8. An item that is no
-    number, str or bytes is a ValueError (see _number_key)."""
-    if isinstance(item, bytes):
+    """An item's hash input: an int (a numpy integer too, as the int it
+    equals) in 16 signed little-endian bytes, or in as many more as an int
+    outside that range needs; a str in UTF-8; bytes as they are.
+
+    Any other item is a ValueError: equal items must hash alike and every
+    process must place an item alike, and a str does neither for a float
+    (5.0 equals 5) or a frozenset (its order follows the str hash seed).
+    Pass such a value as int(x) or str(x)."""
+    if isinstance(item, int):
+        value = item
+    elif isinstance(item, str):
+        return item.encode("utf-8")
+    elif isinstance(item, bytes):
         return item
-    value = _number_key(item)
-    if isinstance(value, str):
-        return value.encode("utf-8")
+    elif isinstance(item, numbers.Integral):
+        value = int(item)
+    else:
+        raise ValueError(f"an item must be an int, str or bytes, got {type(item)}")
     try:
         return value.to_bytes(16, "little", signed=True)
     except OverflowError:
         return value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-
-
-def _number_key(item) -> int | str:
-    """What an item hashes as. A str hashes as its text. Numbers that compare
-    equal hash alike whatever their type: one of integral value (a numpy
-    integer, 5.0, Decimal(5), 5+0j) as the Python int it equals; any other
-    as the str of the float it equals (Fraction(11, 2) as "5.5"), else as
-    its exact ratio "n/d" (Decimal("0.1") as "1/10"), and off the real axis
-    as str(complex(item)); nan, which equals nothing, as its str.
-
-    Any other item is a ValueError: its str need not be the same in every
-    process (a frozenset's order follows the str hash seed), nor alike for
-    items that compare equal ((1, 2) and (1.0, 2)), so no hash of it would
-    keep placements reproducible and equal items together."""
-    # The plain int test first: it is far cheaper than the ABCs'.
-    if isinstance(item, int) or isinstance(item, numbers.Integral):
-        return int(item)
-    if isinstance(item, str):
-        return item
-    if not isinstance(item, numbers.Number):
-        raise ValueError(f"an item must be a number, str or bytes, got {type(item)}")
-    # A Decimal is a Number, not Complex, but it too has .real and .imag.
-    if getattr(item, "imag", 0):
-        return str(complex(item))
-    real = getattr(item, "real", item)
-    for exact in (int, float):
-        try:
-            value = exact(real)
-        except (OverflowError, ValueError):  # an infinity, a nan, a ratio past floats
-            continue
-        if value == real:
-            return value if exact is int else str(value)
-    try:
-        return "%d/%d" % real.as_integer_ratio()
-    except (AttributeError, ValueError):  # a nan
-        return str(item)
 
 
 def size_for_target_fpr(capacity: int, target_fpr: float, num_hashes: int = 5) -> int:

@@ -220,8 +220,9 @@ class _ItemHashes:
     def row(self, item) -> tuple[np.ndarray, np.ndarray]:
         """The item's index block (empty unless filtered; unset until the
         first ``bank`` call) and store ranking, as views into the table."""
-        row = self._rows.get(item)
-        if row is None:
+        try:
+            row = self._rows[item]
+        except (KeyError, TypeError):  # a new item, or an unhashable one for _fill to refuse
             row = self._fill(item)
         chunk, offset = divmod(row, _CHUNK_ROWS)
         return self._blocks[chunk][offset], self._ranks[chunk][offset]

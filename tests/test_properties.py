@@ -1120,6 +1120,27 @@ def test_store_ranking_matches_the_tuple_sort(item, n_stores, seed, data):
     assert designated_stores(item, k, n_stores, seed) == tuple(sorted(want[:k]))
 
 
+numpy_integers = st.one_of(
+    st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)).map(dtype)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+)
+
+
+@given(
+    numpy_integers,
+    st.text(),
+    st.one_of(st.floats(), st.fractions(), st.decimals(), st.complex_numbers()),
+)
+def test_items_hash_as_the_int_str_or_bytes_they_are(integer, text, number):
+    """A numpy integer hashes as the int it equals and a str as its UTF-8;
+    any other number is refused, with its type in the message."""
+    assert _item_bytes(integer) == _item_bytes(int(integer))
+    assert _item_bytes(text) == text.encode("utf-8")
+    message = re.escape(f"an item must be an int, str or bytes, got {type(number)}")
+    with pytest.raises(ValueError, match=message):
+        _item_bytes(number)
+
+
 def reference_estimates(misses):
     """The estimator's rule as three counters: the cumulative miss ratio
     through the first 100 accesses, then an exponential moving average of
