@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import numbers
-import operator
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .core import DatastoreProfile, SelectionContext, clamp_mis_ratio
 from .datastore import Datastore
 from .strategies import STRATEGIES
 from .topology import Topology, cost_matrix, default_topology, load_topology
-from .workload import load_trace
+from .workload import _integer, load_trace
 
 GROUND_TRUTH_STRATEGY = "pi"
 
@@ -94,13 +94,7 @@ class SimConfig:
         # The probe context refuses a miss penalty that is not finite and >= 1.
         probe = SelectionContext((), self.miss_penalty)
         for name, least in (("locations_per_item", 1), ("store_capacity", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            value = operator.index(value)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not (0.0 < self.target_fpr < 1.0):
             raise ValueError(f"target_fpr must lie in (0, 1), got {self.target_fpr}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -192,8 +186,9 @@ class _ItemHashes:
     run's items) are hashed in batches of at most _BATCH_ROWS, and each row
     filled after it hashes its own block.
 
-    Rows live in fixed-size array chunks (an int32 index block and a
-    small-int ranking per item), not in per-item Python containers.
+    Rows live in fixed-size chunks (an int32 index block and a flat
+    ``array`` of rankings in the narrowest unsigned type that holds every
+    store id), not in per-item Python containers.
     """
 
     __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
@@ -213,19 +208,22 @@ class _ItemHashes:
         self._block_shape = (NUM_HASHES, n_stores) if filtered else (0, 0)
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
-        self._ranks: list[np.ndarray] = []
+        self._ranks: list[array] = []
         self._hashing = False
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
-    def row(self, item) -> tuple[np.ndarray, np.ndarray]:
+    def row(self, item) -> tuple[np.ndarray, array]:
         """The item's index block (empty unless filtered; unset until the
-        first ``bank`` call) and store ranking, as views into the table."""
+        first ``bank`` call), a view into the table, and its store ranking,
+        a copy whose entries are Python ints."""
         try:
             row = self._rows[item]
         except (KeyError, TypeError):  # a new item, or an unhashable one for _fill to refuse
             row = self._fill(item)
         chunk, offset = divmod(row, _CHUNK_ROWS)
-        return self._blocks[chunk][offset], self._ranks[chunk][offset]
+        n_stores = len(self.filter_seeds)
+        start = offset * n_stores
+        return self._blocks[chunk][offset], self._ranks[chunk][start:start + n_stores]
 
     def bank(self) -> FilterBank:
         """A new, empty filter bank over the table's filters. The first call
@@ -239,11 +237,13 @@ class _ItemHashes:
     def _fill(self, item) -> int:
         row = len(self._rows)
         chunk, offset = divmod(row, _CHUNK_ROWS)
-        seeds = self.filter_seeds
+        n_stores = len(self.filter_seeds)
         if offset == 0:
             self._blocks.append(np.empty((_CHUNK_ROWS, *self._block_shape), dtype=np.int32))
-            self._ranks.append(np.empty((_CHUNK_ROWS, len(seeds)), dtype=self._rank_type))
-        self._ranks[chunk][offset] = _store_ranking(item, len(seeds), self.seed)
+            self._ranks.append(array(self._rank_type.char, [0]) * (_CHUNK_ROWS * n_stores))
+        start = offset * n_stores
+        memoryview(self._ranks[chunk])[start:start + n_stores] = (
+            _store_ranking(item, n_stores, self.seed).astype(self._rank_type))
         self._rows[item] = row
         if self._hashing:
             self._hash(row, (item,))
@@ -302,6 +302,10 @@ def run(
     # store's estimate has moved since.
     profile_cache = [[None] * n_stores for _ in range(n_stores)]
 
+    # Every strategy selects nothing from no candidates (SimConfig probed
+    # the empty context), so a request with no positives calls none.
+    empty = SelectionContext._trusted((), beta)
+
     log = [] if record_log else None
     access_total = 0.0
     misses = 0
@@ -309,36 +313,43 @@ def run(
     for item, client in zip(items, clients.tolist()):
         row = cost_rows[client]
         block, ranking = hashes.row(item)
+        placed = ranking[:k]
         if ground_truth:
             # A perfect indicator: only designated stores ever hold the item.
-            positives = [j for j in ranking[:k].tolist() if stores[j].holds(item)]
+            positives = [j for j in placed if stores[j].holds(item)]
         else:
             positives = bank.positives(block)
-        cached = profile_cache[client]
-        profiles = []
-        for j in positives:
-            estimate = estimators[j].estimate
-            entry = cached[j]
-            if entry is None or entry[0] != estimate:
-                profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
-                entry = cached[j] = (estimate, profile)
-            profiles.append(entry[1])
-        ctx = SelectionContext._trusted(tuple(profiles), beta)
-        chosen = [p.id for p in strategy(ctx)]
+        if positives:
+            cached = profile_cache[client]
+            profiles = []
+            for j in positives:
+                estimate = estimators[j].estimate
+                entry = cached[j]
+                if entry is None or entry[0] != estimate:
+                    profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
+                    entry = cached[j] = (estimate, profile)
+                profiles.append(entry[1])
+            ctx = SelectionContext._trusted(tuple(profiles), beta)
+            chosen = strategy(ctx)
+        else:
+            ctx, chosen = empty, ()
         paid = 0.0
         hit = False
-        for j in chosen:
-            paid += row[j]
-            if stores[j].access(item):
+        for p in chosen:
+            paid += p.access_cost
+            if stores[p.id].access(item):
                 hit = True
         access_total += paid
         if not hit:
             misses += 1
-            for j in ranking[:k].tolist():
-                if not stores[j].holds(item):
+            # A filter never denies an item its store holds, so a designated
+            # store it ruled out takes the item unprobed. (pi misses only
+            # when no designated store holds the item.)
+            for j in placed:
+                if j not in positives or not stores[j].holds(item):
                     stores[j].insert(item, None if ground_truth else block[:, j].tolist())
         if log is not None:
-            log.append((item, client, tuple(chosen), paid, hit))
+            log.append((item, client, tuple(p.id for p in chosen), paid, hit))
 
     return SimMetrics(config, len(items), access_total, misses, log=log)
 

@@ -8,6 +8,8 @@ Zipf distribution with configurable skew over a fixed catalog.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -19,21 +21,33 @@ def zipf_trace(
 
     Rank r (1-based) carries probability proportional to 1 / r**skew.
     """
-    if num_requests < 1:
-        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if catalog_size < 1:
-        raise ValueError(f"catalog_size must be >= 1, got {catalog_size}")
+    num_requests = _integer("num_requests", num_requests, 1)
+    catalog_size = _integer("catalog_size", catalog_size, 1)
+    seed = _integer("seed", seed, 0)
+    if isinstance(skew, bool) or not isinstance(skew, numbers.Real):
+        raise ValueError(f"skew must be a real number, got {skew!r}")
+    skew = float(skew)
     if not (math.isfinite(skew) and skew >= 0):
         raise ValueError(f"skew must be finite and >= 0, got {skew}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
-    weights = ranks ** -skew
-    cumulative = np.cumsum(weights)
+    # The CDF is built in place in one buffer: weights, then running sums.
+    cumulative = np.arange(1, catalog_size + 1, dtype=np.float64)
+    np.power(cumulative, -skew, out=cumulative)
+    np.cumsum(cumulative, out=cumulative)
     cumulative /= cumulative[-1]
     rng = np.random.default_rng(seed)
     draws = rng.random(num_requests)
     return np.searchsorted(cumulative, draws, side="right").tolist()
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int, refusing a bool, a non-integer and a value
+    below ``least`` with a ValueError naming the parameter."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def load_trace(path: str) -> list[str]:

@@ -137,3 +137,15 @@ def test_grid_with_a_shared_table_equals_independent_model_runs():
         baseline = totals[dataclasses.replace(m.config, strategy=GROUND_TRUTH_STRATEGY)]
         assert m.ac_norm == m.access_cost / baseline
         assert m.tc_norm == totals[m.config] / baseline
+
+
+def test_a_grid_over_300_stores_equals_the_model():
+    # Store ids past 255 survive the item-hash table's rankings: a byte
+    # per id would wrap them and misplace items.
+    topo = generate_synthetic_topology(n_nodes=300, radius=0.12)
+    items = zipf_trace(300, 2000, seed=5)
+    rows = run_grid(["cpi", GROUND_TRUTH_STRATEGY], [100.0], [3], [0], topo, items,
+                    store_capacity=4)
+    for m in rows:
+        access_total, misses, _ = model_run(m.config, topo, items)
+        assert (m.requests, m.access_cost, m.misses) == (len(items), access_total, misses)

@@ -321,8 +321,9 @@ def test_empty_grid_axis_fails_before_loading(axis, monkeypatch):
 
 
 def test_pi_is_cpi_over_the_designated_holders(monkeypatch):
-    # pi makes one cpi call per request, on the designated stores that
-    # hold the item, and hits exactly when that context is not empty.
+    # pi makes one cpi call per request whose designated holders are not
+    # empty, on those stores, and hits exactly on those requests: a request
+    # with no holder is a miss and calls nothing.
     from dss.strategies import STRATEGIES
 
     contexts = []
@@ -336,13 +337,41 @@ def test_pi_is_cpi_over_the_designated_holders(monkeypatch):
     config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, seed=3)
     trace = zipf_trace(300, 100, seed=4)
     metrics = run(config, trace=trace, record_log=True)
-    assert len(contexts) == len(trace)
+    hits = [(item, chosen) for item, _, chosen, _, hit in metrics.log if hit]
+    assert len(contexts) == len(hits) == len(trace) - metrics.misses
     n_stores = len(default_topology().nodes)
-    for ctx, (item, _, _, _, hit) in zip(contexts, metrics.log):
+    for ctx, (item, chosen) in zip(contexts, hits):
         designated = designated_stores(item, 2, n_stores, seed=3)
-        assert all(p.id in designated for p in ctx.candidates)
-        assert hit == bool(ctx.candidates)
+        assert ctx.candidates and all(p.id in designated for p in ctx.candidates)
+        assert chosen == tuple(p.id for p in cpi(ctx))
     assert 0 < metrics.misses < len(trace)
+
+
+def test_no_selector_sees_an_empty_context(monkeypatch):
+    # A request with no positive indication selects nothing without a
+    # selector call. The only empty contexts a selector sees are SimConfig's
+    # probes, one per config that run_grid builds for it (one per cell).
+    from dss.strategies import STRATEGIES
+
+    sizes = {name: [] for name in STRATEGIES}
+    for name, select in list(STRATEGIES.items()):
+        def spy(ctx, name=name, select=select):
+            sizes[name].append(len(ctx.candidates))
+            return select(ctx)
+
+        monkeypatch.setitem(STRATEGIES, name, spy)
+    trace = zipf_trace(2000, 500, seed=6)
+    ks = [1, 3]
+    rows = run_grid(["pi", "cpi", "pgm", "umb"], [100.0], ks, [0], trace=trace,
+                    store_capacity=20)
+    for name in ("cpi", "pgm", "umb"):
+        assert sizes[name][:len(ks)] == [0] * len(ks)
+        assert 0 not in sizes[name][len(ks):]
+    # pi selects through cpi, so cpi's calls count both runs of each cell.
+    live = {name: len(sizes[name]) - len(ks) for name in sizes}
+    assert live["cpi"] > 0 and live["pgm"] + live["umb"] < 2 * len(ks) * len(trace)
+    assert not any(live[name] > 0 for name in ("epi", "pot", "pp", "opt"))
+    assert [m.requests for m in rows] == [len(trace)] * 8
 
 
 def test_pi_normalizes_to_one():
@@ -463,6 +492,40 @@ def test_zipf_trace_shape_and_determinism():
         zipf_trace(0, 100)
     with pytest.raises(ValueError):
         zipf_trace(100, 0)
+
+
+def test_zipf_trace_is_pinned():
+    # The benchmark's two traces: a change to how the CDF is computed must
+    # leave every draw where it was.
+    import hashlib
+
+    for args, digest in (
+        ((2000, 200_000, 0.6), "05c31b6b9efc41c5f9ba7454d8395c951eb8408991e909dcd0c5d2d7525a5047"),
+        ((2000, 20_000, 1.0), "19f970b278fe1f99f5cdd7b070b1c8c3a1f67e93903f8ebd0b92e3bcd78f6334"),
+    ):
+        trace = zipf_trace(*args, seed=1)
+        assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
+
+
+def test_zipf_trace_refuses_non_integer_sizes_and_non_real_skew():
+    # A fractional catalog would silently round up; the others would let
+    # numpy's or math's TypeError escape.
+    cases = [
+        (dict(catalog_size=100.5), "catalog_size must be an integer, got 100.5"),
+        (dict(num_requests=2000.5), "num_requests must be an integer, got 2000.5"),
+        (dict(num_requests=True), "num_requests must be an integer, got True"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(skew="1.0"), "skew must be a real number, got '1.0'"),
+        (dict(skew=None), "skew must be a real number, got None"),
+        (dict(skew=True), "skew must be a real number, got True"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            zipf_trace(**{"num_requests": 2000, "catalog_size": 100, **kwargs})
+    # Integers of any kind, and real skews, are taken at their value.
+    want = zipf_trace(50, 10, 0.5, seed=3)
+    assert zipf_trace(np.int64(50), np.uint8(10), Fraction(1, 2), seed=np.int16(3)) == want
+    assert zipf_trace(50, 10, 1, seed=3) == zipf_trace(50, 10, 1.0, seed=3)
 
 
 def test_zipf_trace_rejects_non_finite_skew():
@@ -614,18 +677,48 @@ def test_deferred_index_blocks_equal_index_block(batch_rows, first, then, monkey
 
 
 def test_item_hash_state_is_compact():
-    # A table for pi alone keeps rankings only.
+    # A table for pi alone keeps rankings only. The chunks bound the bytes
+    # of a row's state; tracemalloc bounds everything a row allocates
+    # (its chunk share and its dict entry), so per-row objects fail it.
+    import tracemalloc
+
     import dss.sim
 
-    for filtered, row_bytes in ((True, 400), (False, 19)):
+    for filtered, row_bytes, traced_bytes in ((True, 400, 520), (False, 19, 120)):
         hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=1), 19, filtered)
         for item in range(3000):
             hashes.row(item)
         rows = 3 * dss.sim._CHUNK_ROWS
-        assert sum(a.nbytes for a in hashes._blocks + hashes._ranks) / rows <= row_bytes
+        chunks = hashes._blocks + hashes._ranks
+        assert sum(memoryview(a).nbytes for a in chunks) / rows <= row_bytes
         for item in (0, 1500, 2999):  # a row in every chunk
             ranking = hashes.row(item)[1]
-            assert tuple(sorted(ranking[:3].tolist())) == designated_stores(item, 3, 19, seed=1)
+            assert tuple(sorted(ranking[:3])) == designated_stores(item, 3, 19, seed=1)
+
+        hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=1), 19, filtered)
+        rows = 10 * dss.sim._CHUNK_ROWS
+        items = list(range(rows))
+        tracemalloc.start()
+        try:
+            for item in items:
+                hashes.row(item)
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used / rows <= traced_bytes
+
+
+def test_rankings_hold_every_store_id():
+    # Rankings are stored in the narrowest unsigned type that holds every
+    # store id: one byte up to 256 stores, two beyond.
+    import dss.sim
+
+    for n_stores in (19, 256, 257, 300):
+        hashes = dss.sim._ItemHashes(SimConfig(strategy="pi", seed=2), n_stores, False)
+        for item in (0, 1, 77, "item-5", b"x", 2**70):
+            want = dss.sim._store_ranking(item, n_stores, 2).tolist()
+            assert hashes.row(item)[1].tolist() == want
+            assert all(type(j) is int for j in hashes.row(item)[1][:3])
 
 
 def test_a_numpy_trace_runs_as_its_list():
