@@ -204,6 +204,27 @@ class FilterBank:
         return np.minimum.reduce(self._flat.take(block)).nonzero()[0].tolist()
 
 
+def _count_in(counters: bytearray, indexes) -> None:
+    """Bump the counters at ``indexes`` by one, leaving any at 255 (sticky)."""
+    for idx in indexes:
+        value = counters[idx]
+        if value != 255:
+            counters[idx] = value + 1
+
+
+def _count_out(counters: bytearray, indexes) -> None:
+    """Undo ``_count_in`` on ``indexes``: sticky counters stay, and a counter
+    already at zero (the sign of a removal with no insert) is an
+    InvariantError."""
+    for idx in indexes:
+        value = counters[idx]
+        if value == 255:
+            continue
+        if value == 0:
+            raise InvariantError("counter underflow: remove without insert")
+        counters[idx] = value - 1
+
+
 class CountingBloomFilter:
     """Seeded counting Bloom filter over opaque item ids: one row of a
     ``FilterBank``."""
@@ -241,11 +262,7 @@ class CountingBloomFilter:
         item's index block)."""
         if indexes is None:
             indexes = self._indexes(item)
-        buf = self.bank._buf
-        for idx in indexes:
-            value = buf[idx]
-            if value != 255:
-                buf[idx] = value + 1
+        _count_in(self.bank._buf, indexes)
         return indexes
 
     def remove(self, item, indexes: Sequence[int] | None = None) -> None:
@@ -254,14 +271,7 @@ class CountingBloomFilter:
         already at zero. ``indexes`` are what that insert returned."""
         if indexes is None:
             indexes = self._indexes(item)
-        buf = self.bank._buf
-        for idx in indexes:
-            value = buf[idx]
-            if value == 255:
-                continue
-            if value == 0:
-                raise InvariantError("counter underflow: remove without insert")
-            buf[idx] = value - 1
+        _count_out(self.bank._buf, indexes)
 
     def query(self, item) -> bool:
         buf = self.bank._buf

@@ -90,6 +90,20 @@ class DatastoreProfile:
         if not (0.0 <= self.mis_ratio < 1.0):
             raise ValueError(f"mis_ratio must lie in [0, 1), got {self.mis_ratio}")
 
+    @classmethod
+    def _trusted(cls, id: int, access_cost: float, mis_ratio: float) -> DatastoreProfile:
+        """A profile built without ``__post_init__``'s checks, for a caller
+        whose inputs pass them by construction: a finite float access cost
+        >= 0 and a float mis ratio in [0, 1). Equal to
+        ``DatastoreProfile(id, access_cost, mis_ratio)``. The fields go
+        straight into the instance dict, past the frozen ``__setattr__``."""
+        profile = object.__new__(cls)
+        fields = profile.__dict__
+        fields["id"] = id
+        fields["access_cost"] = access_cost
+        fields["mis_ratio"] = mis_ratio
+        return profile
+
 
 @dataclass(frozen=True)
 class SelectionContext:
@@ -124,10 +138,12 @@ class SelectionContext:
         """A context built without ``__post_init__``'s checks, for a caller
         whose inputs pass them by construction: a tuple of profiles with
         distinct ids and access costs >= 1, and a finite miss penalty >= 1.
-        Equal to ``SelectionContext(candidates, miss_penalty)``."""
+        Equal to ``SelectionContext(candidates, miss_penalty)``. The fields
+        go straight into the instance dict, past the frozen ``__setattr__``."""
         ctx = object.__new__(cls)
-        object.__setattr__(ctx, "candidates", candidates)
-        object.__setattr__(ctx, "miss_penalty", miss_penalty)
+        fields = ctx.__dict__
+        fields["candidates"] = candidates
+        fields["miss_penalty"] = miss_penalty
         return ctx
 
     @property

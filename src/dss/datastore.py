@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .cbf import CountingBloomFilter
+from .cbf import CountingBloomFilter, _count_in, _count_out
 from .core import InvariantError
 
 
@@ -70,7 +70,7 @@ class Datastore:
     """LRU cache with indicator-consistent inserts, evictions and accesses.
     ``indicator`` is None for a store that keeps no filter."""
 
-    __slots__ = ("id", "capacity", "indicator", "estimator", "_contents")
+    __slots__ = ("id", "capacity", "indicator", "estimator", "_contents", "_counters")
 
     def __init__(self, store_id: int, capacity: int, indicator: CountingBloomFilter | None):
         if capacity < 1:
@@ -78,6 +78,8 @@ class Datastore:
         self.id = store_id
         self.capacity = capacity
         self.indicator = indicator
+        # The indicator's bank buffer, which its flat indexes address.
+        self._counters = None if indicator is None else indicator.bank._buf
         self.estimator = RhoEstimator()
         # Resident item -> the counter indexes its insert bumped (None
         # without a filter), so an eviction un-counts it without hashing it
@@ -104,16 +106,27 @@ class Datastore:
         """Add an item (most recently used position), evicting the least
         recently used one if full. Returns the evicted item or None.
         ``indexes``, when given, are the item's counter indexes in this
-        store's filter, so the filter need not look the item up again; a
-        store with no filter ignores them. Inserting an item already present
-        is a caller bug (InvariantError)."""
-        if item in self._contents:
+        store's filter (its column of the item's index block), so the item
+        is not hashed again. They may be any iterable of ints that can be
+        iterated again, such as a list or a strided ``memoryview`` slice:
+        the store keeps them until the item's eviction counts them out. A
+        store with no filter ignores them. The counters move by the
+        filter's own rule (``cbf._count_in`` and ``cbf._count_out``).
+        Inserting an item already present is a caller bug (InvariantError)."""
+        contents = self._contents
+        if item in contents:
             raise InvariantError(f"item {item!r} already present in store {self.id}")
-        indicator = self.indicator
+        counters = self._counters
         evicted = None
-        if len(self._contents) >= self.capacity:
-            evicted, evicted_indexes = self._contents.popitem(last=False)
-            if indicator is not None:
-                indicator.remove(evicted, evicted_indexes)
-        self._contents[item] = None if indicator is None else indicator.insert(item, indexes)
+        if len(contents) >= self.capacity:
+            evicted, evicted_indexes = contents.popitem(last=False)
+            if counters is not None:
+                _count_out(counters, evicted_indexes)
+        if counters is None:
+            indexes = None
+        else:
+            if indexes is None:
+                indexes = self.indicator._indexes(item)
+            _count_in(counters, indexes)
+        contents[item] = indexes
         return evicted

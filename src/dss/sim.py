@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .cbf import FilterBank, _item_bytes, index_blocks, size_for_target_fpr
-from .core import DatastoreProfile, SelectionContext, clamp_mis_ratio
+from .core import RHO_MAX, DatastoreProfile, SelectionContext
 from .datastore import Datastore
 from .strategies import STRATEGIES
 from .topology import Topology, cost_matrix, default_topology, load_topology
@@ -138,7 +138,12 @@ def designated_stores(item, k: int, n_stores: int, seed: int) -> tuple[int, ...]
 
     Scores are keyed 64-bit digests of the item per store, so placement is
     stable across runs and processes and every store wins roughly uniformly.
+    ``k``, ``n_stores`` and ``seed`` are integers (not bools) as in
+    ``SimConfig``: n_stores >= 1, seed >= 0 and k in 1..n_stores.
     """
+    n_stores = _integer("n_stores", n_stores, 1)
+    seed = _integer("seed", seed, 0)
+    k = _integer("k", k, None)
     if not (1 <= k <= n_stores):
         raise ValueError(f"k must lie in 1..{n_stores}, got {k}")
     return tuple(sorted(_store_ranking(item, n_stores, seed)[:k].tolist()))
@@ -186,13 +191,16 @@ class _ItemHashes:
     run's items) are hashed in batches of at most _BATCH_ROWS, and each row
     filled after it hashes its own block.
 
-    Rows live in fixed-size chunks (an int32 index block and a flat
-    ``array`` of rankings in the narrowest unsigned type that holds every
-    store id), not in per-item Python containers.
+    Rows live in fixed-size chunks (an int32 array of index blocks and a
+    flat ``array`` of rankings in the narrowest unsigned type that holds
+    every store id), not in per-item Python containers. Each block chunk
+    also has a flat int32 ``memoryview`` of its memory, from which a miss
+    takes a store's column of the block as a strided slice: Python ints,
+    with no numpy call.
     """
 
-    __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_ranks",
-                 "_hashing", "_block_shape", "_rank_type")
+    __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_flats",
+                 "_ranks", "_hashing", "_block_shape", "_rank_type")
 
     def __init__(self, config: SimConfig, n_stores: int, filtered: bool):
         self.seed = config.seed
@@ -208,14 +216,18 @@ class _ItemHashes:
         self._block_shape = (NUM_HASHES, n_stores) if filtered else (0, 0)
         self._rows: dict = {}
         self._blocks: list[np.ndarray] = []
+        self._flats: list[memoryview] = []
         self._ranks: list[array] = []
         self._hashing = False
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
-    def row(self, item) -> tuple[np.ndarray, array]:
+    def row(self, item) -> tuple[np.ndarray, array, memoryview, int]:
         """The item's index block (empty unless filtered; unset until the
-        first ``bank`` call), a view into the table, and its store ranking,
-        a copy whose entries are Python ints."""
+        first ``bank`` call), a view into the table; its store ranking, a
+        copy whose entries are Python ints; and the block's chunk as a flat
+        int32 memoryview with the block's first position in it. Store j's
+        column of the block is
+        ``flat[start + j : start + NUM_HASHES * n_stores : n_stores]``."""
         try:
             row = self._rows[item]
         except (KeyError, TypeError):  # a new item, or an unhashable one for _fill to refuse
@@ -223,7 +235,8 @@ class _ItemHashes:
         chunk, offset = divmod(row, _CHUNK_ROWS)
         n_stores = len(self.filter_seeds)
         start = offset * n_stores
-        return self._blocks[chunk][offset], self._ranks[chunk][start:start + n_stores]
+        return (self._blocks[chunk][offset], self._ranks[chunk][start:start + n_stores],
+                self._flats[chunk], NUM_HASHES * start)
 
     def bank(self) -> FilterBank:
         """A new, empty filter bank over the table's filters. The first call
@@ -239,7 +252,9 @@ class _ItemHashes:
         chunk, offset = divmod(row, _CHUNK_ROWS)
         n_stores = len(self.filter_seeds)
         if offset == 0:
-            self._blocks.append(np.empty((_CHUNK_ROWS, *self._block_shape), dtype=np.int32))
+            blocks = np.empty((_CHUNK_ROWS, *self._block_shape), dtype=np.int32)
+            self._blocks.append(blocks)
+            self._flats.append(memoryview(blocks.reshape(-1)))
             self._ranks.append(array(self._rank_type.char, [0]) * (_CHUNK_ROWS * n_stores))
         start = offset * n_stores
         memoryview(self._ranks[chunk])[start:start + n_stores] = (
@@ -259,6 +274,11 @@ class _ItemHashes:
             self._blocks[chunk][offset:offset + count] = index_blocks(
                 items[done:done + count], self.filter_seeds, self.num_counters, NUM_HASHES)
             done += count
+
+
+def _cost_rows(topo: Topology, alpha: float, big_t: float | None) -> list[list[float]]:
+    """The access cost matrix as rows of Python floats, the profiles' costs."""
+    return cost_matrix(topo, alpha, big_t).astype(float).tolist()
 
 
 def _check_locations(k: int, n_stores: int) -> None:
@@ -286,7 +306,7 @@ def run(
     n_stores = len(topo.nodes)
     _check_locations(config.locations_per_item, n_stores)
     ground_truth = config.strategy == GROUND_TRUTH_STRATEGY
-    cost_rows, hashes = _shared or (cost_matrix(topo, config.alpha, config.big_t).tolist(),
+    cost_rows, hashes = _shared or (_cost_rows(topo, config.alpha, config.big_t),
                                     _ItemHashes(config, n_stores, not ground_truth))
     bank = None if ground_truth else hashes.bank()
     stores = [Datastore(j, config.store_capacity, None if bank is None else bank.filter(j))
@@ -297,9 +317,12 @@ def run(
     clients = rng.integers(0, n_stores, size=len(items))
     beta = config.miss_penalty
     k = config.locations_per_item
+    span = NUM_HASHES * n_stores  # one index block in a flat chunk
     estimators = [store.estimator for store in stores]
     # (estimate, profile) per client and store, rebuilt only when the
-    # store's estimate has moved since.
+    # store's estimate has moved since. An estimate is a ratio of counts or
+    # a moving average of such ratios, never NaN and never below 0, so
+    # capping it at RHO_MAX is clamp_mis_ratio; the costs are floats >= 1.
     profile_cache = [[None] * n_stores for _ in range(n_stores)]
 
     # Every strategy selects nothing from no candidates (SimConfig probed
@@ -312,7 +335,7 @@ def run(
 
     for item, client in zip(items, clients.tolist()):
         row = cost_rows[client]
-        block, ranking = hashes.row(item)
+        block, ranking, flat, start = hashes.row(item)
         placed = ranking[:k]
         if ground_truth:
             # A perfect indicator: only designated stores ever hold the item.
@@ -326,7 +349,7 @@ def run(
                 estimate = estimators[j].estimate
                 entry = cached[j]
                 if entry is None or entry[0] != estimate:
-                    profile = DatastoreProfile(j, float(row[j]), clamp_mis_ratio(estimate))
+                    profile = DatastoreProfile._trusted(j, row[j], min(estimate, RHO_MAX))
                     entry = cached[j] = (estimate, profile)
                 profiles.append(entry[1])
             ctx = SelectionContext._trusted(tuple(profiles), beta)
@@ -344,10 +367,12 @@ def run(
             misses += 1
             # A filter never denies an item its store holds, so a designated
             # store it ruled out takes the item unprobed. (pi misses only
-            # when no designated store holds the item.)
+            # when no designated store holds the item.) A store keeps its
+            # column of the block as a strided slice of the flat chunk.
+            end = start + span
             for j in placed:
                 if j not in positives or not stores[j].holds(item):
-                    stores[j].insert(item, None if ground_truth else block[:, j].tolist())
+                    stores[j].insert(item, None if ground_truth else flat[start + j:end:n_stores])
         if log is not None:
             log.append((item, client, tuple(p.id for p in chosen), paid, hit))
 
@@ -411,7 +436,7 @@ def run_grid(
     n_stores = len(topo.nodes)
     _check_locations(max(ks), n_stores)
     items = _as_trace(trace)
-    cost_rows = cost_matrix(topo, cells[0][0].alpha, cells[0][0].big_t).tolist()
+    cost_rows = _cost_rows(topo, cells[0][0].alpha, cells[0][0].big_t)
     filtered = any(config.strategy != GROUND_TRUTH_STRATEGY for config in cells[0][1])
     shared = {}
     rows = []

@@ -39,13 +39,14 @@ def zipf_trace(
     return np.searchsorted(cumulative, draws, side="right").tolist()
 
 
-def _integer(name: str, value, least: int) -> int:
+def _integer(name: str, value, least: int | None) -> int:
     """``value`` as an int, refusing a bool, a non-integer and a value
-    below ``least`` with a ValueError naming the parameter."""
+    below ``least`` (unless it is None, for a caller that checks the range
+    itself) with a ValueError naming the parameter."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 

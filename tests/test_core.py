@@ -95,8 +95,17 @@ def test_selection_context_validation():
 
 
 def test_trusted_context_equals_the_checked_one():
-    stores = (DatastoreProfile(3, 1.0, 0.0), DatastoreProfile(0, 7.0, 0.25),
-              DatastoreProfile(9, 2.5, RHO_MAX))
+    # Both private constructors equal the checked public ones.
+    fields = ((3, 1.0, 0.0), (0, 7.0, 0.25), (9, 2.5, RHO_MAX), (4, 0.0, 0.5))
+    for store_id, cost, rho in fields:
+        trusted = DatastoreProfile._trusted(store_id, cost, rho)
+        checked = DatastoreProfile(store_id, cost, rho)
+        assert type(trusted) is DatastoreProfile
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        with pytest.raises(AttributeError):  # as frozen as a checked one
+            trusted.mis_ratio = 0.5
+    stores = tuple(DatastoreProfile._trusted(*f) for f in fields[:3])
     for candidates in ((), stores[:1], stores):
         for beta in (1.0, 100.0):
             trusted = SelectionContext._trusted(candidates, beta)

@@ -122,6 +122,19 @@ def test_designated_stores_basics():
         designated_stores("item", 0, 19, seed=0)
     with pytest.raises(ValueError):
         designated_stores("item", 20, 19, seed=0)
+    # Sizes and seed are integers, checked at the boundary as SimConfig
+    # checks them: ValueError, never numpy's or to_bytes' TypeError.
+    for args, message in (((1.5, 19, 0), "k must be an integer"),
+                          ((True, 19, 0), "k must be an integer"),
+                          ((2, 19.0, 0), "n_stores must be an integer"),
+                          ((2, 19, 1.5), "seed must be an integer"),
+                          ((2, 19, -1), "seed must be >= 0"),
+                          ((1, 0, 0), "n_stores must be >= 1"),
+                          ((0, 19, 0), r"k must lie in 1\.\.19"),
+                          ((20, 19, 0), r"k must lie in 1\.\.19")):
+        with pytest.raises(ValueError, match=message):
+            designated_stores("item", *args)
+    assert designated_stores("item", np.int64(3), np.int32(19), np.uint8(0)) == once
 
 
 def test_designated_stores_match_one_digest_per_store():
@@ -372,6 +385,71 @@ def test_no_selector_sees_an_empty_context(monkeypatch):
     assert live["cpi"] > 0 and live["pgm"] + live["umb"] < 2 * len(ks) * len(trace)
     assert not any(live[name] > 0 for name in ("epi", "pot", "pp", "opt"))
     assert [m.requests for m in rows] == [len(trace)] * 8
+
+
+def test_every_profile_a_selector_sees_equals_a_checked_one(monkeypatch):
+    # run builds its profiles past DatastoreProfile's checks. Each must equal
+    # the checked profile of its own fields and carry a float cost:
+    # cost_matrix's int64 costs become floats once per run, not per profile.
+    from dss.core import RHO_MAX, DatastoreProfile
+    from dss.strategies import STRATEGIES
+
+    seen = []
+    for name in ("cpi", "pgm"):
+        def spy(ctx, select=STRATEGIES[name]):
+            seen.extend(ctx.candidates)
+            return select(ctx)
+
+        monkeypatch.setitem(STRATEGIES, name, spy)
+    trace = zipf_trace(2000, 500, seed=6)
+    run_grid(["pi", "cpi", "pgm"], [100.0], [1, 3], [0], trace=trace, store_capacity=20)
+    run(SimConfig(strategy="cpi", locations_per_item=2, store_capacity=20), line_abc(), trace)
+    assert len(seen) > 1000
+    for p in seen:
+        assert type(p.id) is int and type(p.access_cost) is float
+        assert type(p.mis_ratio) is float
+        assert p == DatastoreProfile(p.id, p.access_cost, p.mis_ratio)
+    # Both ends of the estimate's range reach the selectors: a store that
+    # has only missed is capped at RHO_MAX.
+    assert {0.0, RHO_MAX} <= {p.mis_ratio for p in seen}
+
+
+@pytest.mark.parametrize("strategy", ["cpi", "pgm"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_store_counters_equal_their_residents(strategy, k, monkeypatch):
+    # Each store of a filtered run counts its residents in, and its evicted
+    # items out, through the indexes it kept at their insert: its bank row
+    # holds, per counter, how many kept indexes name it, and every kept
+    # index list is the store's column of the item's index block. No counter
+    # saturates at this capacity, so the counts are exact.
+    import dss.sim
+    from dss.cbf import index_block
+
+    built = []
+
+    class Spy(Datastore):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(dss.sim, "Datastore", Spy)
+    config = SimConfig(strategy=strategy, locations_per_item=k, store_capacity=30, seed=5)
+    metrics = run(config, trace=zipf_trace(3000, 5000, seed=8))
+    assert len(built) == 19 and metrics.misses > 0
+    assert all(len(store) == store.capacity for store in built)  # every store evicted
+    for store in built:
+        bank, row = store.indicator.bank, store.indicator.row
+        m = bank.num_counters
+        want = np.zeros(m, dtype=np.int64)
+        for item, kept in store._contents.items():
+            kept = list(kept)
+            assert kept == index_block(item, bank.seeds, m, bank.num_hashes)[:, row].tolist()
+            np.add.at(want, np.asarray(kept) - row * m, 1)
+        counters = np.asarray(store.indicator.counters)
+        assert counters.max() < 255
+        assert np.array_equal(counters, want), store.id
 
 
 def test_pi_normalizes_to_one():
