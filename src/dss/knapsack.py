@@ -7,10 +7,15 @@ access costs. The exact solver answers every budget up to a largest one in
 one pass, _runs. It is a list dynamic program in the manner of Nemhauser and
 Ullmann (Management Science, 1969): each suffix of the items keeps its
 optimum as a step function of the budget, one run per stretch of budgets
-that choose the same ids, so its work and its answer follow the number of
-runs, not of budgets. solve_exact reads the last run, pp scores each run
-once, and only solve_exact_all_budgets expands the runs to one entry per
-budget. The greedy profit-density solver is the textbook 2-approximation.
+that choose the same items, so its work and its answer follow the number of
+runs, not of budgets. _runs takes plain (key, profit, cost) triples in id
+order, trusted as they come, and a run holds the keys it takes in that
+order. solve_exact and solve_exact_all_budgets validate KnapsackItems and
+hand _runs their (id, profit, cost) triples: solve_exact reads the last
+run, and solve_exact_all_budgets expands the runs to one entry per budget.
+pp's triples carry the store profiles themselves as keys, so its runs are
+its selections, and it scores each run once. The greedy profit-density
+solver is the textbook 2-approximation.
 """
 
 from __future__ import annotations
@@ -18,12 +23,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .core import RHO_MAX, RHO_MIN
 
-_ID = attrgetter("id")
-_START = itemgetter(0)
+_FIRST = itemgetter(0)
 
 
 def log_hit_weight(rho: float) -> float:
@@ -38,8 +42,17 @@ def log_hit_weight(rho: float) -> float:
 
 
 def clamped_log_hit_weight(rho: float) -> float:
-    """log_hit_weight with rho clamped into [RHO_MIN, RHO_MAX] first."""
-    return log_hit_weight(min(max(rho, RHO_MIN), RHO_MAX))
+    """log_hit_weight with rho clamped into [RHO_MIN, RHO_MAX] first, in one
+    call: log_hit_weight(min(max(rho, RHO_MIN), RHO_MAX)), bit for bit. NaN
+    fails every comparison, so it reaches the last test and is refused with
+    log_hit_weight's message."""
+    if rho < RHO_MIN:
+        rho = RHO_MIN
+    elif rho > RHO_MAX:
+        rho = RHO_MAX
+    elif rho != rho:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    return -math.log2(rho)
 
 
 @dataclass(frozen=True)
@@ -49,11 +62,13 @@ class KnapsackItem:
     cost: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cost, int):
+        if not _is_int(self.cost):
             raise ValueError(f"cost must be an integer, got {self.cost!r}")
         if self.cost < 1:
             raise ValueError(f"cost must be >= 1, got {self.cost}")
-        if not (math.isfinite(self.profit) and self.profit >= 0.0):
+        if isinstance(self.profit, bool) or not (
+            math.isfinite(self.profit) and self.profit >= 0.0
+        ):
             raise ValueError(f"profit must be finite and >= 0, got {self.profit}")
 
 
@@ -67,12 +82,25 @@ class KnapsackInstance:
         _require_valid(self.items, self.budget, "budget")
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool, as costs and budgets must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_valid(items, budget, name: str) -> None:
-    if not isinstance(budget, int) or budget < 0:
+    if not _is_int(budget) or budget < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {budget!r}")
     ids = [it.id for it in items]
     if len(set(ids)) != len(ids):
         raise ValueError("item ids must be distinct")
+
+
+def _triples(items, budget: int) -> list[tuple]:
+    """The (id, profit, cost) triples of the items that cost at most budget,
+    in id order, as _runs takes them; the rest could never be taken."""
+    return sorted(
+        ((it.id, it.profit, it.cost) for it in items if it.cost <= budget), key=_FIRST
+    )
 
 
 def solve_exact_all_budgets(
@@ -85,7 +113,7 @@ def solve_exact_all_budgets(
     as KnapsackInstance does.
     """
     _require_valid(items, max_budget, "max_budget")
-    runs = _runs(items, max_budget)
+    runs = _runs(_triples(items, max_budget), max_budget)
     sets = []
     ends = [run[0] for run in runs[1:]] + [max_budget + 1]
     for (start, _, ids), end in zip(runs, ends):
@@ -93,19 +121,26 @@ def solve_exact_all_budgets(
     return sets
 
 
-def _runs(items, max_budget: int) -> list:
-    """Optimal item ids for every budget 0..max_budget, as runs of budgets.
+def _runs(items: list[tuple], max_budget: int) -> list:
+    """Optimal item keys for every budget 0..max_budget, as runs of budgets.
 
-    Unchecked: the items' ids must be distinct and max_budget an integer
-    >= 0 (solve_exact_all_budgets and KnapsackInstance check both).
+    Each item is a (key, profit, cost) triple: a profit >= 0, an integer
+    cost >= 1, and as key the item's id or anything that stands for it (pp
+    passes the store's profile). Unchecked: the items must come in
+    ascending order of distinct ids, and max_budget must be an integer >= 0
+    (solve_exact_all_budgets and KnapsackInstance check their items and
+    budget, and _triples sorts them). Below, "ids" are the items' places in
+    that order. An item costing more than max_budget is never taken;
+    leaving it out only saves its merge.
 
-    Items are taken in id order, and the program goes through their suffixes
-    from the last item back. A suffix's answer is a step function of the
-    budget: a list of runs (first budget, best profit, id tuple), one per
-    stretch of budgets that choose the same ids, starting from the empty
-    suffix's one run (0, 0.0, ()). Item i of cost c and profit w merges two
-    step functions of the next suffix's list: skip i (the list unchanged)
-    and take i (every run shifted up by c, with w added and i prepended).
+    The program goes through the items' suffixes from the last item back. A
+    suffix's answer is a step function of the budget: a list of runs (first
+    budget, best profit, key tuple), one per stretch of budgets that choose
+    the same ids, starting from the empty suffix's one run (0, 0.0, ()).
+    Item i of cost c and profit w merges two step functions of the next
+    suffix's list: skip i (the list unchanged) and take i (every run shifted
+    up by c, with w added and i's key prepended), so each run's keys are in
+    id order.
     A budget never depends on larger ones, so the list built up to
     max_budget answers every smaller budget as a dedicated solve would.
 
@@ -124,13 +159,12 @@ def _runs(items, max_budget: int) -> list:
     at its own cost, and the last run answers max_budget.
     """
     runs = [(0, 0.0, ())]
-    for item in reversed(sorted(items, key=_ID)):
-        if item.cost <= max_budget:
-            runs = _take_or_skip(runs, item, max_budget)
+    for item in reversed(items):
+        runs = _take_or_skip(runs, item, max_budget)
     return runs
 
 
-def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
+def _take_or_skip(runs: list, item: tuple, max_budget: int) -> list:
     """The runs of item's suffix, from the runs of the suffix after it.
 
     The runs that start below the item's cost are kept as they are. From
@@ -139,10 +173,10 @@ def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
     from the same skip or take run as the budget before it extends that
     run, so neighbouring runs always choose different ids.
     """
-    item_id, profit, cost = item.id, item.profit, item.cost
+    key, profit, cost = item
     stop = max_budget + 1
     n = len(runs)
-    s = bisect_left(runs, cost, key=_START)
+    s = bisect_left(runs, cost, key=_FIRST)
     out = runs[:s]
     skip = runs[s - 1]
     source = s  # s while in skip run s - 1, -t while in take run t - 1
@@ -165,7 +199,7 @@ def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
         if value >= skip[1] and value != 0.0:
             if source != -t:
                 source = -t
-                out.append((budget, value, (item_id, *take[2])))
+                out.append((budget, value, (key, *take[2])))
         elif source != s:
             source = s
             out.append((budget, skip[1], skip[2]))
@@ -174,7 +208,8 @@ def _take_or_skip(runs: list, item: KnapsackItem, max_budget: int) -> list:
 def solve_exact(instance: KnapsackInstance) -> frozenset:
     """Optimal item ids; profit ties resolved to the lexicographically
     smallest id set (so e.g. a zero-budget instance yields the empty set)."""
-    return frozenset(_runs(instance.items, instance.budget)[-1][2])
+    budget = instance.budget
+    return frozenset(_runs(_triples(instance.items, budget), budget)[-1][2])
 
 
 def solve_greedy2(instance: KnapsackInstance) -> frozenset:

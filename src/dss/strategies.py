@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import DatastoreProfile, InvariantError, SelectionContext, expected_cost
-from .knapsack import KnapsackItem, _runs, clamped_log_hit_weight
+from .knapsack import _runs, clamped_log_hit_weight
 
 Selection = tuple[DatastoreProfile, ...]
 
@@ -193,16 +193,23 @@ def select_pot(ctx: SelectionContext) -> Selection:
     return _by_id(order[: pots.index(min(pots))])
 
 
-def _require_integer_costs(ctx: SelectionContext) -> dict:
-    costs = {}
+def _require_integer_costs(ctx: SelectionContext) -> list[int]:
+    """The candidates' access costs as ints, in candidate order; a
+    ValueError names the first fractional one."""
+    costs = []
     for p in ctx.candidates:
         if not float(p.access_cost).is_integer():
             raise ValueError(
                 f"budgeted selection requires integer access costs, got "
                 f"{p.access_cost} for id {p.id}"
             )
-        costs[p.id] = int(p.access_cost)
+        costs.append(int(p.access_cost))
     return costs
+
+
+def _item_id(item: tuple):
+    """The id of one of pp's knapsack items, a (profile, weight, cost) triple."""
+    return item[0].id
 
 
 def _phi_upper_bound(order: Iterable[DatastoreProfile], beta: float) -> float:
@@ -245,34 +252,37 @@ def select_dsalg_pp(ctx: SelectionContext) -> Selection:
     to the end only when its best phi is that width plus one or more, where
     a later set could still tie it; the answer is the full sweep's either
     way.
-    Each pass builds knapsack items only for the stores it can afford: the
-    knapsack never takes a costlier one.
+    The knapsack items are built once, as plain (profile, clamped log-hit
+    weight, integer cost) triples in id order; _runs trusts them, as
+    everything in them comes from a checked context. The profile is the
+    item's key, so each run's keys are already a selection in id order, as
+    _best_by_phi scores it. Each pass hands _runs only the items it can
+    afford: the knapsack never takes a costlier one.
     Requires integer access costs, and at most PP_MAX_TABLE_CELLS cells of
     (candidates + 1) x (budgets + 1), which bounds the knapsack's runs.
     """
-    int_costs = _require_integer_costs(ctx)
-    max_budget = min(sum(int_costs.values()), math.floor(ctx.miss_penalty))
-    cells = (len(int_costs) + 1) * (max_budget + 1)
+    candidates = ctx.candidates
+    beta = ctx.miss_penalty
+    costs = _require_integer_costs(ctx)
+    max_budget = min(sum(costs), math.floor(beta))
+    cells = (len(costs) + 1) * (max_budget + 1)
     if cells > PP_MAX_TABLE_CELLS:
         raise ValueError(
-            f"budget sweep up to budget {max_budget} over {len(int_costs)} "
+            f"budget sweep up to budget {max_budget} over {len(costs)} "
             f"candidates needs {cells} table cells, more than {PP_MAX_TABLE_CELLS}"
         )
     one = _at_most_one(ctx)
     if one is not None:
         return one
-    beta = ctx.miss_penalty
-    by_id = {p.id: p for p in ctx.candidates}
-    bound = _phi_upper_bound(sorted(ctx.candidates, key=_RHO_ID), beta)
+    items = sorted(
+        zip(candidates, [clamped_log_hit_weight(p.mis_ratio) for p in candidates], costs),
+        key=_item_id,
+    )
+    bound = _phi_upper_bound(sorted(candidates, key=_RHO_ID), beta)
     width = min(max_budget, math.floor(bound))
     for budget in sorted({width, max_budget}):
-        items = [
-            KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
-            for p in ctx.candidates
-            if int_costs[p.id] <= budget
-        ]
-        runs = _runs(items, budget)
-        best = _best_by_phi(([by_id[i] for i in ids] for _, _, ids in runs), beta)
+        runs = _runs([item for item in items if item[2] <= budget], budget)
+        best = _best_by_phi((selection for _, _, selection in runs), beta)
         if _phi_by_id(best, beta) < budget + 1:
             break
     return best

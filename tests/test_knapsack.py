@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dss.core import RHO_MAX, RHO_MIN
 from dss.knapsack import (
     KnapsackInstance,
     KnapsackItem,
     _runs,
+    clamped_log_hit_weight,
     log_hit_weight,
     solve_exact,
     solve_exact_all_budgets,
@@ -107,6 +109,20 @@ def test_log_hit_weight_additivity():
         assert math.isclose(total, -math.log2(math.prod(ratios)), abs_tol=1e-9)
 
 
+def test_clamped_log_hit_weight_is_log_hit_weight_of_the_clamped_ratio():
+    rng = random.Random(24)
+    ratios = [0.0, 1e-13, RHO_MIN, RHO_MAX, 1.0, 2.0, -1.0, math.inf, -math.inf, -0.0]
+    ratios += [rng.random() for _ in range(1000)]
+    ratios += [rng.uniform(-1.0, 2.0) for _ in range(200)]
+    for rho in ratios:
+        want = log_hit_weight(min(max(rho, RHO_MIN), RHO_MAX))
+        assert clamped_log_hit_weight(rho).hex() == want.hex(), rho
+    with pytest.raises(ValueError, match=r"^rho must lie in \(0, 1\), got nan$"):
+        clamped_log_hit_weight(math.nan)
+    with pytest.raises(ValueError, match=r"^rho must lie in \(0, 1\), got nan$"):
+        log_hit_weight(min(max(math.nan, RHO_MIN), RHO_MAX))
+
+
 def test_item_and_instance_validation():
     with pytest.raises(ValueError):
         KnapsackItem("a", 1.0, 0)
@@ -118,6 +134,15 @@ def test_item_and_instance_validation():
         KnapsackInstance(-1, (KnapsackItem("a", 1.0, 1),))
     with pytest.raises(ValueError):
         KnapsackInstance(3, (KnapsackItem("a", 1.0, 1), KnapsackItem("a", 2.0, 1)))
+    # bool is an int subclass, but a cost, profit or budget of True is a bug.
+    with pytest.raises(ValueError, match=r"^cost must be an integer, got True$"):
+        KnapsackItem("a", 1.0, True)
+    with pytest.raises(ValueError, match=r"^profit must be finite and >= 0, got True$"):
+        KnapsackItem("a", True, 1)
+    with pytest.raises(ValueError, match=r"^budget must be an integer >= 0, got True$"):
+        KnapsackInstance(True, (KnapsackItem("a", 1.0, 1),))
+    with pytest.raises(ValueError, match=r"^budget must be an integer >= 0, got False$"):
+        KnapsackInstance(False, ())
 
 
 def test_all_budgets_refuses_repeated_ids():
@@ -131,6 +156,8 @@ def test_all_budgets_refuses_repeated_ids():
 def test_all_budgets_refuses_a_non_integer_max_budget():
     with pytest.raises(ValueError, match=r"max_budget must be an integer >= 0, got 2\.0"):
         solve_exact_all_budgets([KnapsackItem("a", 1.0, 1)], 2.0)
+    with pytest.raises(ValueError, match=r"max_budget must be an integer >= 0, got True"):
+        solve_exact_all_budgets([KnapsackItem("a", 1.0, 1)], True)
 
 
 def simple_items():
@@ -285,7 +312,8 @@ def test_runs_memory_follows_the_runs_alone():
     # Costs 1, 2, 4, ..., 2**15 at one profit density: each of the 2**16
     # budgets is a run of its own. The runs peak near 17 MiB; expanding them
     # to one frozenset per budget, as solve_exact_all_budgets does, near 60.
-    items = [KnapsackItem(j + 1, 0.37 * 2**j, 2**j) for j in range(16)]
+    # _runs takes (key, profit, cost) triples in id order.
+    items = [(j + 1, 0.37 * 2**j, 2**j) for j in range(16)]
     runs, peak = _traced_peak(items, 2**16 - 1, _runs)
     assert [start for start, _, _ in runs] == list(range(2**16))
     assert peak < 32 * 2**20

@@ -62,7 +62,7 @@ from dss.strategies import (
     select_pot,
 )
 from dss.sim import _store_ranking, designated_stores
-from dss.topology import Edge, Topology, cost_matrix, min_hop_max_bottleneck
+from dss.topology import Edge, Topology, cost_matrix, default_topology, min_hop_max_bottleneck
 from test_knapsack import reference_solve
 
 # Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
@@ -133,10 +133,12 @@ def test_a_set_first_proposed_at_a_budget_costs_that_budget(case):
 @example(((KnapsackItem(3, 0.0, 1), KnapsackItem(1, 1.0, 9), KnapsackItem(2, 0.5, 2)), 4))
 def test_runs_propose_each_set_once_at_its_cost(case):
     """pp scores each run's ids once, with no dedupe: this pins that no set
-    starts two runs, and that the runs are the per-budget answers."""
+    starts two runs, and that the runs are the per-budget answers. _runs
+    takes (key, profit, cost) triples in id order, the unaffordable ones
+    too."""
     items, max_budget = case
     costs = {it.id: it.cost for it in items}
-    runs = _runs(items, max_budget)
+    runs = _runs(sorted((it.id, it.profit, it.cost) for it in items), max_budget)
     starts = [start for start, _, _ in runs]
     assert starts[0] == 0
     assert all(a < b for a, b in zip(starts, starts[1:]))
@@ -155,7 +157,7 @@ def reference_pp(ctx):
     """select_dsalg_pp as one sweep over every budget up to min(total cost,
     floor(beta)), without its first pass: of all the budgets' proposals the
     one with the least phi, then the fewest stores, then the smallest ids."""
-    int_costs = _require_integer_costs(ctx)
+    int_costs = dict(zip([p.id for p in ctx.candidates], _require_integer_costs(ctx)))
     by_id = {p.id: p for p in ctx.candidates}
     items = [
         KnapsackItem(p.id, clamped_log_hit_weight(p.mis_ratio), int_costs[p.id])
@@ -439,6 +441,38 @@ def test_pp_and_pgm_equal_the_full_passes_on_the_golden_contexts():
     for ctx in golden_select_contexts():
         assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
         assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+
+
+def select_mix_shaped_contexts(seed, per_shape):
+    """Contexts shaped as the select-mix benchmark builds them, at the sizes
+    the properties above never draw: 11-19 candidates with the bundled
+    topology's integer costs from one client, ratios uniform in
+    (0.005, 0.995), and beta 100 or 1000."""
+    costs = cost_matrix(default_topology())
+    rng = np.random.default_rng(seed)
+    contexts = []
+    for _ in range(per_shape):
+        for beta in (100.0, 1000.0):
+            for n in range(11, 20):
+                client = int(rng.integers(costs.shape[0]))
+                ids = rng.choice(costs.shape[0], size=n, replace=False)
+                rhos = rng.uniform(0.005, 0.995, size=n)
+                stores = tuple(
+                    DatastoreProfile(int(j), float(costs[client, j]), float(r))
+                    for j, r in zip(ids, rhos)
+                )
+                contexts.append(SelectionContext(stores, beta))
+    return contexts
+
+
+def test_selectors_equal_their_references_on_select_mix_shapes():
+    for ctx in select_mix_shaped_contexts(seed=29, per_shape=10):
+        assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
+        assert outcome(select_dsalg_knap, ctx) == outcome(reference_knap, ctx)
+        assert outcome(select_pot, ctx) == outcome(reference_pot, ctx)
+        assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+        if ctx.n_positive <= 12:
+            assert select_exhaustive(ctx) == brute_force_opt(ctx)
 
 
 def test_a_bound_too_low_forces_both_second_passes():

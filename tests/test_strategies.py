@@ -94,6 +94,11 @@ def test_dsalg_pp_examples():
 def test_dsalg_pp_rejects_fractional_costs():
     with pytest.raises(ValueError):
         select_dsalg_pp(make_ctx([(1, 1.5, 0.2)]))
+    # The message names the first fractional cost in candidate order, not in
+    # the id order the knapsack takes its items in.
+    stores = [(9, 2.0, 0.2), (7, 3.5, 0.1), (3, 1.0, 0.3), (1, 2.5, 0.4)]
+    with pytest.raises(ValueError, match=r"got 3\.5 for id 7$"):
+        select_dsalg_pp(make_ctx(stores))
 
 
 def no_table(items, max_budget):
@@ -206,7 +211,8 @@ def test_dsalg_pp_builds_items_only_for_affordable_stores(monkeypatch):
     seen = []
 
     def spy(items, max_budget):
-        seen.append((max_budget, sorted(it.id for it in items)))
+        # pp's items are (profile, weight, cost) triples, in id order.
+        seen.append((max_budget, [it[0].id for it in items]))
         return _runs(items, max_budget)
 
     monkeypatch.setattr(dss.strategies, "_runs", spy)
