@@ -7,6 +7,9 @@ negatives); absent items may be confirmed with the usual Bloom false
 positive rate. A counter that climbs to 255 turns sticky and is never
 changed again, trading a little extra false-positive mass for overflow
 safety. Only saturation reaches 255, so the value itself is the sticky mark.
+That rule is written once, in ``_count``, which moves the counters of an
+item out and of another in over one buffer: a filter's insert and remove
+each use one side of it, and a ``Datastore`` eviction both at once.
 
 Hashing is double hashing: a single keyed 128-bit digest per item supplies
 two 64-bit halves h1, h2 and index i is (h1 + i*h2) mod m. The digest is
@@ -204,25 +207,24 @@ class FilterBank:
         return np.minimum.reduce(self._flat.take(block)).nonzero()[0].tolist()
 
 
-def _count_in(counters: bytearray, indexes) -> None:
-    """Bump the counters at ``indexes`` by one, leaving any at 255 (sticky)."""
-    for idx in indexes:
-        value = counters[idx]
-        if value != 255:
-            counters[idx] = value + 1
-
-
-def _count_out(counters: bytearray, indexes) -> None:
-    """Undo ``_count_in`` on ``indexes``: sticky counters stay, and a counter
-    already at zero (the sign of a removal with no insert) is an
-    InvariantError."""
-    for idx in indexes:
+def _count(counters: bytearray, out, into) -> None:
+    """Count the item at indexes ``out`` out of the counters, then the item
+    at ``into`` in: one pass for an eviction and its insert, with ``()``
+    for a side that has no item. Counting in bumps a counter by one and
+    leaves one at 255 (sticky); counting out undoes that, leaves a sticky
+    counter too, and finds a counter already at zero (the sign of a removal
+    with no insert) an InvariantError."""
+    for idx in out:
         value = counters[idx]
         if value == 255:
             continue
         if value == 0:
             raise InvariantError("counter underflow: remove without insert")
         counters[idx] = value - 1
+    for idx in into:
+        value = counters[idx]
+        if value != 255:
+            counters[idx] = value + 1
 
 
 class CountingBloomFilter:
@@ -262,7 +264,7 @@ class CountingBloomFilter:
         item's index block)."""
         if indexes is None:
             indexes = self._indexes(item)
-        _count_in(self.bank._buf, indexes)
+        _count(self.bank._buf, (), indexes)
         return indexes
 
     def remove(self, item, indexes: Sequence[int] | None = None) -> None:
@@ -271,7 +273,7 @@ class CountingBloomFilter:
         already at zero. ``indexes`` are what that insert returned."""
         if indexes is None:
             indexes = self._indexes(item)
-        _count_out(self.bank._buf, indexes)
+        _count(self.bank._buf, indexes, ())
 
     def query(self, item) -> bool:
         buf = self.bank._buf

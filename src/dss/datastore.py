@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .cbf import CountingBloomFilter, _count_in, _count_out
+from .cbf import CountingBloomFilter, _count
 from .core import InvariantError
+from .workload import _integer
 
 
 # The estimator's rule: accesses per epoch, the weight of the newest epoch
@@ -35,12 +36,14 @@ class RhoEstimator:
         estimate <- WEIGHT * (epoch misses / EPOCH_LEN) + (1 - WEIGHT) * estimate
 
     Before any access at all, ``estimate`` is ``INITIAL_ESTIMATE``.
+    ``estimate`` is a plain attribute that only ``record`` writes, so a
+    reader pays an attribute load, not a call; callers do not assign it.
     """
 
-    __slots__ = ("_estimate", "_accesses", "_epoch_misses")
+    __slots__ = ("estimate", "_accesses", "_epoch_misses")
 
     def __init__(self):
-        self._estimate = INITIAL_ESTIMATE
+        self.estimate = INITIAL_ESTIMATE
         self._accesses = 0
         self._epoch_misses = 0
 
@@ -50,16 +53,12 @@ class RhoEstimator:
         if miss:
             self._epoch_misses += 1
         if self._accesses <= EPOCH_LEN:
-            self._estimate = self._epoch_misses / self._accesses
+            self.estimate = self._epoch_misses / self._accesses
         if self._accesses % EPOCH_LEN == 0:
             if self._accesses > EPOCH_LEN:
                 epoch_ratio = self._epoch_misses / EPOCH_LEN
-                self._estimate = WEIGHT * epoch_ratio + (1.0 - WEIGHT) * self._estimate
+                self.estimate = WEIGHT * epoch_ratio + (1.0 - WEIGHT) * self.estimate
             self._epoch_misses = 0
-
-    @property
-    def estimate(self) -> float:
-        return self._estimate
 
     @property
     def accesses(self) -> int:
@@ -73,10 +72,8 @@ class Datastore:
     __slots__ = ("id", "capacity", "indicator", "estimator", "_contents", "_counters")
 
     def __init__(self, store_id: int, capacity: int, indicator: CountingBloomFilter | None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.id = store_id
-        self.capacity = capacity
+        self.capacity = _integer("capacity", capacity, 1)
         self.indicator = indicator
         # The indicator's bank buffer, which its flat indexes address.
         self._counters = None if indicator is None else indicator.bank._buf
@@ -99,7 +96,7 @@ class Datastore:
         hit = item in self._contents
         if hit:
             self._contents.move_to_end(item)
-        self.estimator.record(miss=not hit)
+        self.estimator.record(not hit)
         return hit
 
     def insert(self, item, indexes=None):
@@ -111,22 +108,24 @@ class Datastore:
         iterated again, such as a list or a strided ``memoryview`` slice:
         the store keeps them until the item's eviction counts them out. A
         store with no filter ignores them. The counters move by the
-        filter's own rule (``cbf._count_in`` and ``cbf._count_out``).
-        Inserting an item already present is a caller bug (InvariantError)."""
+        filter's own rule, in one ``cbf._count`` pass that counts the
+        evicted item's indexes out (``()`` when nothing is evicted) and the
+        new item's in. Inserting an item already present is a caller bug
+        (InvariantError)."""
         contents = self._contents
         if item in contents:
             raise InvariantError(f"item {item!r} already present in store {self.id}")
         counters = self._counters
-        evicted = None
-        if len(contents) >= self.capacity:
-            evicted, evicted_indexes = contents.popitem(last=False)
-            if counters is not None:
-                _count_out(counters, evicted_indexes)
         if counters is None:
             indexes = None
-        else:
-            if indexes is None:
-                indexes = self.indicator._indexes(item)
-            _count_in(counters, indexes)
+        elif indexes is None:
+            # Hashed before any eviction, so a refused item changes nothing.
+            indexes = self.indicator._indexes(item)
+        evicted = None
+        evicted_indexes = ()
+        if len(contents) >= self.capacity:
+            evicted, evicted_indexes = contents.popitem(last=False)
+        if counters is not None:
+            _count(counters, evicted_indexes, indexes)
         contents[item] = indexes
         return evicted

@@ -21,13 +21,15 @@ solver is the textbook 2-approximation.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core import RHO_MAX, RHO_MIN
+from .workload import _integer
 
-_FIRST = itemgetter(0)
+_FIRST = operator.itemgetter(0)
 
 
 def log_hit_weight(rho: float) -> float:
@@ -57,42 +59,45 @@ def clamped_log_hit_weight(rho: float) -> float:
 
 @dataclass(frozen=True)
 class KnapsackItem:
+    """One item: a cost that is an integer >= 1 (any ``operator.index``
+    integer, numpy's too, kept as an int; not a bool) and a profit that is
+    a real number (a ``numbers.Real``, not a bool), finite and >= 0. A
+    Decimal is not one: the solvers add profits to floats."""
+
     id: int | str
     profit: float
     cost: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.cost):
-            raise ValueError(f"cost must be an integer, got {self.cost!r}")
-        if self.cost < 1:
-            raise ValueError(f"cost must be >= 1, got {self.cost}")
-        if isinstance(self.profit, bool) or not (
-            math.isfinite(self.profit) and self.profit >= 0.0
-        ):
-            raise ValueError(f"profit must be finite and >= 0, got {self.profit}")
+        object.__setattr__(self, "cost", _integer("cost", self.cost, 1))
+        profit = self.profit
+        if (isinstance(profit, bool) or not isinstance(profit, numbers.Real)
+                or not (math.isfinite(profit) and profit >= 0.0)):
+            raise ValueError(f"profit must be finite and >= 0, got {profit}")
 
 
 @dataclass(frozen=True)
 class KnapsackInstance:
+    """A budget (an integer >= 0, kept as an int, as a cost is) and items
+    with distinct ids."""
+
     budget: int
     items: tuple[KnapsackItem, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        _require_valid(self.items, self.budget, "budget")
+        object.__setattr__(self, "budget", _require_valid(self.items, self.budget, "budget"))
 
 
-def _is_int(value) -> bool:
-    """Whether value is an int and not a bool, as costs and budgets must be."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_valid(items, budget, name: str) -> None:
-    if not _is_int(budget) or budget < 0:
+def _require_valid(items, budget, name: str) -> int:
+    """The budget as an int, refusing a bool, a non-integer, a negative
+    budget and repeated item ids."""
+    if isinstance(budget, bool) or not hasattr(budget, "__index__") or operator.index(budget) < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {budget!r}")
     ids = [it.id for it in items]
     if len(set(ids)) != len(ids):
         raise ValueError("item ids must be distinct")
+    return operator.index(budget)
 
 
 def _triples(items, budget: int) -> list[tuple]:
@@ -112,7 +117,7 @@ def solve_exact_all_budgets(
     Refuses repeated item ids and a max_budget that is not an integer >= 0,
     as KnapsackInstance does.
     """
-    _require_valid(items, max_budget, "max_budget")
+    max_budget = _require_valid(items, max_budget, "max_budget")
     runs = _runs(_triples(items, max_budget), max_budget)
     sets = []
     ends = [run[0] for run in runs[1:]] + [max_budget + 1]

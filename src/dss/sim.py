@@ -196,7 +196,9 @@ class _ItemHashes:
     every store id), not in per-item Python containers. Each block chunk
     also has a flat int32 ``memoryview`` of its memory, from which a miss
     takes a store's column of the block as a strided slice: Python ints,
-    with no numpy call.
+    with no numpy call. ``row`` hands out only an item's row number; a
+    reader finds the row in the chunk lists ``_ranks``, ``_blocks`` and
+    ``_flats``, which only ever grow at the end.
     """
 
     __slots__ = ("seed", "filter_seeds", "num_counters", "_rows", "_blocks", "_flats",
@@ -221,22 +223,24 @@ class _ItemHashes:
         self._hashing = False
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
-    def row(self, item) -> tuple[np.ndarray, array, memoryview, int]:
-        """The item's index block (empty unless filtered; unset until the
-        first ``bank`` call), a view into the table; its store ranking, a
-        copy whose entries are Python ints; and the block's chunk as a flat
-        int32 memoryview with the block's first position in it. Store j's
-        column of the block is
-        ``flat[start + j : start + NUM_HASHES * n_stores : n_stores]``."""
+    def row(self, item) -> int:
+        """The item's row number, filling its row first if it is new (and
+        refusing an item that cannot be one). With ``chunk, offset =
+        divmod(row, _CHUNK_ROWS)`` and ``start = offset * n_stores``:
+
+        - its store ranking is ``_ranks[chunk][start:start + n_stores]``,
+          whose slices hold Python ints;
+        - its index block (empty unless filtered; unset until the first
+          ``bank`` call) is ``_blocks[chunk][offset]``, a view into the
+          table;
+        - store j's column of that block is
+          ``_flats[chunk][NUM_HASHES * start + j : NUM_HASHES * (start +
+          n_stores) : n_stores]``, a strided slice of the chunk's flat
+          int32 memoryview."""
         try:
-            row = self._rows[item]
+            return self._rows[item]
         except (KeyError, TypeError):  # a new item, or an unhashable one for _fill to refuse
-            row = self._fill(item)
-        chunk, offset = divmod(row, _CHUNK_ROWS)
-        n_stores = len(self.filter_seeds)
-        start = offset * n_stores
-        return (self._blocks[chunk][offset], self._ranks[chunk][start:start + n_stores],
-                self._flats[chunk], NUM_HASHES * start)
+            return self._fill(item)
 
     def bank(self) -> FilterBank:
         """A new, empty filter bank over the table's filters. The first call
@@ -312,6 +316,9 @@ def run(
     stores = [Datastore(j, config.store_capacity, None if bank is None else bank.filter(j))
               for j in range(n_stores)]
     strategy = STRATEGIES["cpi" if ground_truth else config.strategy]
+    # The table's chunk lists, bound once: they only grow at the end, so
+    # rows filled during the run are found in them too.
+    row_of, ranks, blocks, flats = hashes.row, hashes._ranks, hashes._blocks, hashes._flats
 
     rng = np.random.default_rng(config.seed)
     clients = rng.integers(0, n_stores, size=len(items))
@@ -335,13 +342,14 @@ def run(
 
     for item, client in zip(items, clients.tolist()):
         row = cost_rows[client]
-        block, ranking, flat, start = hashes.row(item)
-        placed = ranking[:k]
+        chunk, offset = divmod(row_of(item), _CHUNK_ROWS)
+        start = offset * n_stores
+        placed = ranks[chunk][start:start + k]
         if ground_truth:
             # A perfect indicator: only designated stores ever hold the item.
             positives = [j for j in placed if stores[j].holds(item)]
         else:
-            positives = bank.positives(block)
+            positives = bank.positives(blocks[chunk][offset])
         if positives:
             cached = profile_cache[client]
             profiles = []
@@ -369,10 +377,12 @@ def run(
             # store it ruled out takes the item unprobed. (pi misses only
             # when no designated store holds the item.) A store keeps its
             # column of the block as a strided slice of the flat chunk.
-            end = start + span
+            flat = flats[chunk]
+            first = NUM_HASHES * start
+            end = first + span
             for j in placed:
                 if j not in positives or not stores[j].holds(item):
-                    stores[j].insert(item, None if ground_truth else flat[start + j:end:n_stores])
+                    stores[j].insert(item, None if ground_truth else flat[first + j:end:n_stores])
         if log is not None:
             log.append((item, client, tuple(p.id for p in chosen), paid, hit))
 

@@ -3,6 +3,7 @@
 import random
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from dss.cbf import CountingBloomFilter, FilterBank
@@ -86,6 +87,18 @@ def test_insert_duplicate_rejected():
         store.insert("a")
 
 
+def test_refused_item_changes_nothing():
+    # The new item is hashed before anything is evicted, so an item the
+    # filter refuses leaves the full store's contents and counters alone.
+    store = make_store(capacity=1)
+    store.insert("a")
+    counters = bytes(store.indicator.counters)
+    with pytest.raises(ValueError, match="an item must be an int, str or bytes"):
+        store.insert(5.0)
+    assert store.holds("a") and len(store) == 1
+    assert bytes(store.indicator.counters) == counters
+
+
 def test_lru_eviction_order():
     store = make_store(capacity=2)
     store.insert("a")
@@ -160,3 +173,15 @@ def test_matches_reference_lru_on_random_trace(with_filter):
 def test_capacity_validation():
     with pytest.raises(ValueError):
         Datastore(0, 0, CountingBloomFilter(64))
+    # A fractional capacity would hold its ceiling's worth of items, and
+    # True is an int subclass, not a capacity; a numpy integer is one.
+    with pytest.raises(ValueError, match=r"^capacity must be >= 1, got 0$"):
+        Datastore(0, 0, None)
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match=r"^capacity must be an integer, got "):
+            Datastore(0, bad, None)
+    store = Datastore(0, np.int64(2), None)
+    assert type(store.capacity) is int
+    for item in range(3):
+        store.insert(item)
+    assert len(store) == 2

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ def test_item_and_instance_validation():
         KnapsackInstance(True, (KnapsackItem("a", 1.0, 1),))
     with pytest.raises(ValueError, match=r"^budget must be an integer >= 0, got False$"):
         KnapsackInstance(False, ())
+    # A profit that is no real number gets the same ValueError, not a
+    # TypeError (a Decimal's would come from the solvers' float sums).
+    for profit in ("1", 1j, None, [1.0], Decimal(1)):
+        with pytest.raises(ValueError, match=r"^profit must be finite and >= 0, got "):
+            KnapsackItem("a", profit, 1)
+
+
+def test_numpy_integers_are_costs_and_budgets():
+    # Any operator.index integer is a cost or budget, kept as the int it
+    # equals; numpy's bool is not one.
+    item = KnapsackItem("a", 1.0, np.int64(2))
+    assert item == KnapsackItem("a", 1.0, 2) and type(item.cost) is int
+    instance = KnapsackInstance(np.int32(3), (item, KnapsackItem("b", 2.0, np.uint8(1))))
+    assert type(instance.budget) is int
+    assert solve_exact(instance) == {"a", "b"}
+    assert solve_exact_all_budgets([item], np.int64(3)) == solve_exact_all_budgets([item], 3)
+    with pytest.raises(ValueError, match=r"^cost must be >= 1, got 0$"):
+        KnapsackItem("a", 1.0, np.int64(0))
+    with pytest.raises(ValueError, match=r"^cost must be an integer, got np\.True_$"):
+        KnapsackItem("a", 1.0, np.True_)
+    with pytest.raises(ValueError, match=r"^budget must be an integer >= 0, got np\.int64\(-1\)$"):
+        KnapsackInstance(np.int64(-1), ())
+    with pytest.raises(ValueError, match=r"^max_budget must be an integer >= 0, got np\.True_$"):
+        solve_exact_all_budgets([item], np.True_)
 
 
 def test_all_budgets_refuses_repeated_ids():

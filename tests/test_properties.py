@@ -25,8 +25,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dss.strategies
-from dss.cbf import CountingBloomFilter, _item_bytes, index_block, index_blocks
-from dss.core import RHO_MAX, DatastoreProfile, SelectionContext
+from dss.cbf import CountingBloomFilter, _count, _item_bytes, index_block, index_blocks
+from dss.core import RHO_MAX, DatastoreProfile, InvariantError, SelectionContext
 from dss.datastore import RhoEstimator
 from dss.homogeneous import (
     HomogeneousParams,
@@ -1069,6 +1069,43 @@ def test_counting_filter_has_no_false_negatives(ops, num_counters):
             f.insert(item)
             present[item] += 1
         assert all(x in f for x, copies in present.items() if copies)
+
+
+def reference_count(counters, out, into):
+    """The counter rule, one index at a time: count ``out`` out (a sticky
+    255 stays; a 0 is an underflow, which stops there), then ``into`` in (a
+    counter stops at 255). Returns the counters and whether it underflowed."""
+    counters = list(counters)
+    for idx in out:
+        if counters[idx] == 0:
+            return counters, True
+        if counters[idx] != 255:
+            counters[idx] -= 1
+    for idx in into:
+        counters[idx] = min(counters[idx] + 1, 255)
+    return counters, False
+
+
+counter_values = st.one_of(st.sampled_from([0, 1, 2, 254, 255]), st.integers(0, 255))
+counter_indexes = st.lists(st.integers(0, 5), max_size=12)
+
+
+@given(st.lists(counter_values, min_size=6, max_size=6), counter_indexes, counter_indexes)
+@example([255, 254, 0, 1, 2, 3], [0, 0, 3, 3], [1, 1, 1, 2])
+@example([255, 254, 0, 1, 2, 3], [3, 3, 2, 4], [1])
+@example([0, 0, 0, 0, 0, 0], [], [5, 5])
+def test_count_equals_the_counter_rule(row, out, into):
+    """One ``_count`` pass over a counter row, with repeated indexes and
+    255s in it, leaves the reference's counters; an underflow is an
+    InvariantError, raised with the counters before it already counted out."""
+    counters = bytearray(row)
+    want, underflow = reference_count(row, out, into)
+    if underflow:
+        with pytest.raises(InvariantError, match="counter underflow"):
+            _count(counters, tuple(out), tuple(into))
+    else:
+        _count(counters, tuple(out), tuple(into))
+    assert list(counters) == want
 
 
 def reference_index_block(item, seeds, num_counters, num_hashes):

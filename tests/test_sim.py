@@ -707,6 +707,23 @@ def test_grid_hashes_the_ground_truths_items_in_batches(monkeypatch):
     assert len(batches) <= (math.ceil(distinct / dss.sim._BATCH_ROWS) + 1) * len(seeds)
 
 
+def table_block(hashes, item):
+    # The item's index block in the item-hash table, found by its row number.
+    import dss.sim
+
+    chunk, offset = divmod(hashes.row(item), dss.sim._CHUNK_ROWS)
+    return hashes._blocks[chunk][offset]
+
+
+def table_ranking(hashes, item):
+    # The item's store ranking in the item-hash table, found by its row number.
+    import dss.sim
+
+    chunk, offset = divmod(hashes.row(item), dss.sim._CHUNK_ROWS)
+    n_stores = len(hashes.filter_seeds)
+    return hashes._ranks[chunk][offset * n_stores:(offset + 1) * n_stores]
+
+
 @pytest.mark.parametrize("batch_rows, first, then", [(256, 1000, 300), (300, 1300, 0)])
 def test_deferred_index_blocks_equal_index_block(batch_rows, first, then, monkeypatch):
     # Rows filled ranking-only, hashed in slices that a chunk's end may cut
@@ -745,7 +762,7 @@ def test_deferred_index_blocks_equal_index_block(batch_rows, first, then, monkey
     assert len(hashes._blocks) == 2
     for item in items:
         want = index_block(item, hashes.filter_seeds, hashes.num_counters, dss.sim.NUM_HASHES)
-        assert np.array_equal(hashes.row(item)[0], want), item
+        assert np.array_equal(table_block(hashes, item), want), item
     # A table without index blocks never hashes one.
     hashed.clear()
     plain = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=2), 7, False)
@@ -770,7 +787,7 @@ def test_item_hash_state_is_compact():
         chunks = hashes._blocks + hashes._ranks
         assert sum(memoryview(a).nbytes for a in chunks) / rows <= row_bytes
         for item in (0, 1500, 2999):  # a row in every chunk
-            ranking = hashes.row(item)[1]
+            ranking = table_ranking(hashes, item)
             assert tuple(sorted(ranking[:3])) == designated_stores(item, 3, 19, seed=1)
 
         hashes = dss.sim._ItemHashes(SimConfig(strategy="cpi", seed=1), 19, filtered)
@@ -795,8 +812,8 @@ def test_rankings_hold_every_store_id():
         hashes = dss.sim._ItemHashes(SimConfig(strategy="pi", seed=2), n_stores, False)
         for item in (0, 1, 77, "item-5", b"x", 2**70):
             want = dss.sim._store_ranking(item, n_stores, 2).tolist()
-            assert hashes.row(item)[1].tolist() == want
-            assert all(type(j) is int for j in hashes.row(item)[1][:3])
+            assert table_ranking(hashes, item).tolist() == want
+            assert all(type(j) is int for j in table_ranking(hashes, item)[:3])
 
 
 def test_a_numpy_trace_runs_as_its_list():
