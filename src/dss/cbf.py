@@ -257,23 +257,15 @@ class CountingBloomFilter:
     def _indexes(self, item) -> list[int]:
         return self.bank.block(item)[:, self.row].tolist()
 
-    def insert(self, item, indexes: Sequence[int] | None = None) -> Sequence[int]:
-        """Count the item in; returns its counter indexes, which ``remove``
-        accepts in place of hashing the item again. ``indexes``, when given,
-        are the item's counter indexes in this filter (its column of the
-        item's index block)."""
-        if indexes is None:
-            indexes = self._indexes(item)
-        _count(self.bank._buf, (), indexes)
-        return indexes
+    def insert(self, item) -> None:
+        """Count the item in."""
+        _count(self.bank._buf, (), self._indexes(item))
 
-    def remove(self, item, indexes: Sequence[int] | None = None) -> None:
+    def remove(self, item) -> None:
         """Undo one prior insert of this item; raises InvariantError on the
         cheap-to-detect sign of removing an item never inserted, a counter
-        already at zero. ``indexes`` are what that insert returned."""
-        if indexes is None:
-            indexes = self._indexes(item)
-        _count(self.bank._buf, indexes, ())
+        already at zero."""
+        _count(self.bank._buf, self._indexes(item), ())
 
     def query(self, item) -> bool:
         buf = self.bank._buf

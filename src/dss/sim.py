@@ -30,7 +30,7 @@ import hashlib
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,7 +116,6 @@ class SimMetrics:
     misses: int = 0
     ac_norm: float | None = None
     tc_norm: float | None = None
-    log: list | None = None
 
     @property
     def strategy(self) -> str:
@@ -224,8 +223,9 @@ class _ItemHashes:
         self._rank_type = np.min_scalar_type(n_stores - 1)
 
     def row(self, item) -> int:
-        """The item's row number, filling its row first if it is new (and
-        refusing an item that cannot be one). With ``chunk, offset =
+        """The item's row number, filling its row first if it is new. An item
+        not exactly an int or str meets ``_item_bytes``'s rule first, so a
+        float is refused even if an equal int is in the table. With ``chunk, offset =
         divmod(row, _CHUNK_ROWS)`` and ``start = offset * n_stores``:
 
         - its store ranking is ``_ranks[chunk][start:start + n_stores]``,
@@ -237,9 +237,11 @@ class _ItemHashes:
           ``_flats[chunk][NUM_HASHES * start + j : NUM_HASHES * (start +
           n_stores) : n_stores]``, a strided slice of the chunk's flat
           int32 memoryview."""
+        if type(item) is not int and type(item) is not str:
+            _item_bytes(item)
         try:
             return self._rows[item]
-        except (KeyError, TypeError):  # a new item, or an unhashable one for _fill to refuse
+        except KeyError:
             return self._fill(item)
 
     def bank(self) -> FilterBank:
@@ -294,9 +296,9 @@ def run(
     config: SimConfig,
     topology: Topology | str | None = None,
     trace: Sequence | str | None = None,
-    record_log: bool = False,
     *,
     _shared: tuple[list, _ItemHashes] | None = None,
+    _observe: Callable[..., object] | None = None,
 ) -> SimMetrics:
     """Simulate one strategy over a trace; returns raw (un-normalized) totals.
 
@@ -304,6 +306,12 @@ def run(
     hashes no index block, so it takes any target fpr. A filtered run's bank
     comes from the item-hash table (``_ItemHashes.bank``). ``_shared`` is
     run_grid's (cost rows, item-hash table) pair for this config and topology.
+
+    ``_observe``, if set, is called once per request after the miss handling
+    as ``_observe(item, client, ctx, chosen, paid, hit, placed)``: ``ctx`` is
+    the run's one empty context on an empty indication, ``chosen`` what the
+    selector returned (``()`` when it was not called), and ``placed`` the
+    item's k designated stores in rank order; the observer must not change them.
     """
     topo = _as_topology(topology)
     items = _as_trace(trace)
@@ -336,7 +344,6 @@ def run(
     # the empty context), so a request with no positives calls none.
     empty = SelectionContext._trusted((), beta)
 
-    log = [] if record_log else None
     access_total = 0.0
     misses = 0
 
@@ -383,10 +390,10 @@ def run(
             for j in placed:
                 if j not in positives or not stores[j].holds(item):
                     stores[j].insert(item, None if ground_truth else flat[first + j:end:n_stores])
-        if log is not None:
-            log.append((item, client, tuple(p.id for p in chosen), paid, hit))
+        if _observe is not None:
+            _observe(item, client, ctx, chosen, paid, hit, placed)
 
-    return SimMetrics(config, len(items), access_total, misses, log=log)
+    return SimMetrics(config, len(items), access_total, misses)
 
 
 def run_with_baseline(

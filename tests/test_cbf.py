@@ -155,14 +155,14 @@ def test_remove_without_insert_raises_invariant_error():
     assert not issubclass(InvariantError, ValueError)  # the CLI maps ValueError to exit 2
 
 
-def test_remove_accepts_the_indexes_insert_returned():
+def test_remove_undoes_insert():
     f = CountingBloomFilter(64, 3, seed=6)
-    indexes = f.insert("x")
-    assert len(indexes) == 3 and f.query("x")
-    f.remove("x", indexes)
+    assert f.insert("x") is None
+    assert f.query("x")
+    f.remove("x")
     assert not any(f.counters)
     with pytest.raises(InvariantError):
-        f.remove("x", indexes)
+        f.remove("x")
 
 
 def test_underflow_check_survives_python_O():

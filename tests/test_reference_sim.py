@@ -115,9 +115,14 @@ def pi_case(n, topology_seed, capacity, k, seed, items):
 @example(pi_case(4, 0, 2, 1, 1, [5, 1, 5]))
 def test_run_equals_the_reference_model_request_by_request(case):
     config, topo, items = case
-    got = run(config, topo, items, record_log=True)
+    got_log = []
+
+    def observe(item, client, ctx, chosen, paid, hit, placed):
+        got_log.append((item, client, tuple(p.id for p in chosen), paid, hit))
+
+    got = run(config, topo, items, _observe=observe)
     access_total, misses, log = model_run(config, topo, items)
-    assert got.log == log
+    assert got_log == log
     assert (got.requests, got.access_cost, got.misses) == (len(items), access_total, misses)
 
 

@@ -32,6 +32,17 @@ def line_abc():
     return Topology(("a", "b", "c"), (Edge("a", "b", 10.0), Edge("b", "c", 5.0)))
 
 
+def logged_run(config, topology, trace):
+    """A run's metrics and its log: (item, client, chosen ids, paid, hit)
+    per request, from run's observer."""
+    log = []
+
+    def observe(item, client, ctx, chosen, paid, hit, placed):
+        log.append((item, client, tuple(p.id for p in chosen), paid, hit))
+
+    return run(config, topology, trace, _observe=observe), log
+
+
 def test_resolve_strategy_aliases():
     assert resolve_strategy("CPI") == "cpi"
     assert resolve_strategy("dsalg-pp") == "pp"
@@ -176,12 +187,12 @@ def test_two_request_walkthrough():
     # all), pays beta, and places the item; the second finds it indicated.
     topo = line_abc()
     config = SimConfig(strategy="cpi", locations_per_item=1, store_capacity=4, seed=3)
-    metrics = run(config, topo, ["x", "x"], record_log=True)
+    metrics, log = logged_run(config, topo, ["x", "x"])
     costs = cost_matrix(topo, config.alpha)
     clients = np.random.default_rng(3).integers(0, 3, size=2)
     placed = designated_stores("x", 1, 3, seed=3)[0]
 
-    first, second = metrics.log
+    first, second = log
     assert first == ("x", clients[0], (), 0.0, False)
     item, client, chosen, paid, hit = second
     assert (item, client, hit) == ("x", clients[1], True)
@@ -197,10 +208,10 @@ def test_ground_truth_accesses_single_cheapest_holder():
     topo = line_abc()
     config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=4, seed=5)
     trace = ["x", "x", "y", "x", "y"]
-    metrics = run(config, topo, trace, record_log=True)
+    metrics, log = logged_run(config, topo, trace)
     costs = cost_matrix(topo, config.alpha)
     assert metrics.misses == 2  # one cold miss per distinct item
-    for item, client, chosen, paid, hit in metrics.log:
+    for item, client, chosen, paid, hit in log:
         if hit:
             assert len(chosen) == 1
             holders = designated_stores(item, 2, 3, seed=5)
@@ -333,24 +344,27 @@ def test_empty_grid_axis_fails_before_loading(axis, monkeypatch):
         run_grid(**grid, trace=zipf_trace(500, 100, seed=1), store_capacity=10)
 
 
-def test_pi_is_cpi_over_the_designated_holders(monkeypatch):
-    # pi makes one cpi call per request whose designated holders are not
-    # empty, on those stores, and hits exactly on those requests: a request
-    # with no holder is a miss and calls nothing.
+def test_pi_is_cpi_over_the_designated_holders():
+    # pi's context holds the designated stores that hold the item, and pi
+    # chooses from it as cpi does. It hits exactly on the requests where
+    # that context is not empty: a request with no holder is a miss and
+    # selects nothing.
     from dss.strategies import STRATEGIES
 
-    contexts = []
     cpi = STRATEGIES["cpi"]
+    contexts = []
+    hits = []
 
-    def spy(ctx):
-        contexts.append(ctx)
-        return cpi(ctx)
+    def observe(item, client, ctx, chosen, paid, hit, placed):
+        assert hit == bool(ctx.candidates)
+        if ctx.candidates:
+            contexts.append(ctx)
+        if hit:
+            hits.append((item, tuple(p.id for p in chosen)))
 
-    monkeypatch.setitem(STRATEGIES, "cpi", spy)
     config = SimConfig(strategy="pi", locations_per_item=2, store_capacity=5, seed=3)
     trace = zipf_trace(300, 100, seed=4)
-    metrics = run(config, trace=trace, record_log=True)
-    hits = [(item, chosen) for item, _, chosen, _, hit in metrics.log if hit]
+    metrics = run(config, trace=trace, _observe=observe)
     assert len(contexts) == len(hits) == len(trace) - metrics.misses
     n_stores = len(default_topology().nodes)
     for ctx, (item, chosen) in zip(contexts, hits):
@@ -501,17 +515,43 @@ def test_accounting_identity_from_log():
     trace = zipf_trace(2000, 800, seed=15)
     config = SimConfig(strategy="pot", locations_per_item=2, store_capacity=100, seed=6)
     topo = line_abc()
-    metrics = run(config, topo, trace, record_log=True)
+    metrics, log = logged_run(config, topo, trace)
     costs = cost_matrix(topo, config.alpha)
     access = 0.0
     misses = 0
-    for item, client, chosen, paid, hit in metrics.log:
+    for item, client, chosen, paid, hit in log:
         assert paid == sum(costs[client, j] for j in chosen)
         access += paid
         misses += 0 if hit else 1
     assert metrics.access_cost == access
     assert metrics.misses == misses
     assert metrics.total_cost == access + config.miss_penalty * misses
+
+
+def test_observer_is_called_once_per_request_with_what_the_loop_held():
+    trace = zipf_trace(1500, 400, seed=21)
+    n_stores = len(default_topology().nodes)
+    for name in ("pgm", "pi"):
+        config = SimConfig(strategy=name, locations_per_item=3, store_capacity=40, seed=4)
+        calls = []
+
+        def observe(*args):
+            calls.append(args)
+
+        metrics = run(config, trace=trace, _observe=observe)
+        assert [call[0] for call in calls] == trace
+        assert sum(call[4] for call in calls) == metrics.access_cost
+        assert sum(not call[5] for call in calls) == metrics.misses
+        empty = 0
+        for item, client, ctx, chosen, paid, hit, placed in calls:
+            if not ctx.candidates:
+                empty += 1
+                assert chosen == ()
+            assert sorted(placed) == list(designated_stores(item, 3, n_stores, seed=4))
+        assert 0 < empty < len(trace)
+        plain = run(config, trace=trace)
+        assert (plain.requests, plain.access_cost, plain.misses) == (
+            metrics.requests, metrics.access_cost, metrics.misses)
 
 
 def test_k_cannot_exceed_store_count():
@@ -859,6 +899,13 @@ def test_items_that_are_no_number_str_or_bytes_are_refused():
             CountingBloomFilter(64, 3, seed=1).insert(item)
     with pytest.raises(ValueError, match="got <class 'tuple'>$"):
         run(config, trace=[(1, 2), (1.0, 2), 7, (1, 2)])
+    # An equal int already in the item-hash table lets none of them through.
+    for item in (5.0, Decimal(5), 5 + 0j, Fraction(10, 2)):
+        message = re.escape(f"an item must be an int, str or bytes, got {type(item)}")
+        with pytest.raises(ValueError, match=message):
+            run(config, trace=[5, item])
+        with pytest.raises(ValueError, match=message):
+            run_grid(["cpi"], [100.0], [2], [0], trace=[5, item], store_capacity=2)
 
 
 def test_integers_of_any_size_run():
