@@ -17,6 +17,7 @@ the miss penalty: accessing nothing is always a miss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -77,7 +78,9 @@ class DatastoreProfile:
 
     ``access_cost`` is the cost of querying the store from the current
     client; ``mis_ratio`` is the probability the store does not hold the item
-    despite its positive indication.
+    despite its positive indication. Each must be a real number (a float,
+    or a ``numbers.Real`` that is not a bool); anything else is refused
+    with the same ValueError as an out-of-range value.
     """
 
     id: int
@@ -85,10 +88,12 @@ class DatastoreProfile:
     mis_ratio: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.access_cost) and self.access_cost >= 0.0):
-            raise ValueError(f"access_cost must be finite and >= 0, got {self.access_cost}")
-        if not (0.0 <= self.mis_ratio < 1.0):
-            raise ValueError(f"mis_ratio must lie in [0, 1), got {self.mis_ratio}")
+        cost = self.access_cost
+        if not ((type(cost) is float or _is_real(cost)) and math.isfinite(cost) and cost >= 0.0):
+            raise ValueError(f"access_cost must be finite and >= 0, got {cost}")
+        rho = self.mis_ratio
+        if not ((type(rho) is float or _is_real(rho)) and 0.0 <= rho < 1.0):
+            raise ValueError(f"mis_ratio must lie in [0, 1), got {rho}")
 
     @classmethod
     def _trusted(cls, id: int, access_cost: float, mis_ratio: float) -> DatastoreProfile:
@@ -112,7 +117,8 @@ class SelectionContext:
     ``candidates`` are the stores with a positive indication, with distinct
     ids and access costs normalized so the cheapest possible store costs at
     least 1. ``miss_penalty`` is the cost of retrieving the item from the
-    origin after accessing no store that holds it.
+    origin after accessing no store that holds it: a real number, not a
+    bool, as in DatastoreProfile.
     """
 
     candidates: tuple[DatastoreProfile, ...]
@@ -123,8 +129,7 @@ class SelectionContext:
         ids = [p.id for p in self.candidates]
         if len(set(ids)) != len(ids):
             raise ValueError("candidate ids must be distinct")
-        if not (math.isfinite(self.miss_penalty) and self.miss_penalty >= 1.0):
-            raise ValueError(f"miss_penalty must be finite and >= 1, got {self.miss_penalty}")
+        _check_miss_penalty(self.miss_penalty)
         for p in self.candidates:
             if p.access_cost < 1.0:
                 raise ValueError(
@@ -173,14 +178,27 @@ def expected_cost(
     are folded in increasing id order so the result is invariant under input
     permutation, bit for bit.
     """
-    if not (math.isfinite(miss_penalty) and miss_penalty >= 1.0):
-        raise ValueError(f"miss_penalty must be finite and >= 1, got {miss_penalty}")
+    _check_miss_penalty(miss_penalty)
     access = 0.0
     miss = 1.0
     for p in sorted(selection, key=lambda p: p.id):
         access += p.access_cost
         miss *= p.mis_ratio
     return CostBreakdown(access, miss, access + miss_penalty * miss)
+
+
+def _is_real(value) -> bool:
+    """Whether a profile field or a miss penalty that is not a float is a
+    real number: a ``numbers.Real`` that is not a bool. A str, None or a
+    Decimal is not one. Callers test ``type(value) is float`` first, as
+    nearly every value is one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_miss_penalty(miss_penalty: float) -> None:
+    real = type(miss_penalty) is float or _is_real(miss_penalty)
+    if not (real and math.isfinite(miss_penalty) and miss_penalty >= 1.0):
+        raise ValueError(f"miss_penalty must be finite and >= 1, got {miss_penalty}")
 
 
 def _check_unit(name: str, value: float) -> None:

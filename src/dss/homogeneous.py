@@ -186,10 +186,19 @@ class SweepPoint:
     no_indicator: float
 
 
+# hit_grid refuses a step that would give more hit ratios than this.
+HIT_GRID_MAX_POINTS = 10**6
+
+
 def hit_grid(step: float) -> list[float]:
-    """Hit ratios 0, step, 2*step, ... capped so 1.0 is always the last point."""
+    """Hit ratios 0, step, 2*step, ... capped so 1.0 is always the last point.
+
+    About 1/step + 1 points: a step that gives more than
+    HIT_GRID_MAX_POINTS is refused before any is built."""
     if not (0.0 < step <= 1.0):
         raise ValueError(f"step must lie in (0, 1], got {step}")
+    if (1.0 - 1e-9) / step > HIT_GRID_MAX_POINTS - 1:
+        raise ValueError(f"step {step} gives more than {HIT_GRID_MAX_POINTS} hit ratios")
     grid = []
     i = 0
     while i * step < 1.0 - 1e-9:

@@ -67,6 +67,9 @@ def phi(selection: Iterable[DatastoreProfile], miss_penalty: float) -> float:
 
 _ID = attrgetter("id")
 _RHO_ID = attrgetter("mis_ratio", "id")
+# The profile in one of select_pgm's (misindication, id, bit, cost, profile)
+# tuples.
+_PROFILE = itemgetter(4)
 
 
 def _by_id(profiles: Iterable[DatastoreProfile]) -> Selection:
@@ -410,31 +413,32 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     Stores are bucketed into dyadic cost bands [2**j, 2**(j+1)) for j < r,
     the least integer with 2**r >= miss_penalty; each band contributes its
     misindication-sorted prefixes, and bands are merged pairwise up a binary
-    tree (odd levels padded with an empty band), each merge keeping the best
-    union per dyadic cost range. The root candidate with the smallest phi
-    wins. Stores costing 2**r or more are ignored: their cost alone is at
-    least the miss penalty.
+    tree, each merge keeping the best union per dyadic cost range. The root
+    candidate with the smallest phi wins. Stores costing 2**r or more are
+    ignored: their cost alone is at least the miss penalty.
 
     The tree carries (miss product, cost, mask) tuples, bit j of a mask
     being the j-th store in id order, as in select_exhaustive: a union is
     the two masks ored, and _merge breaks an exact tie between unions with
-    one bit test (_ids_precede). The candidates are sorted by
-    (misindication, id) once; that order gives _phi_upper_bound and, split
-    by band, every band's prefixes, with no sort of their own.
+    one bit test (_ids_precede). The candidates are sorted once per call,
+    as (misindication, id, bit, cost, profile) tuples; that order gives
+    _phi_upper_bound and, split by band, every band's prefixes, with no
+    sort or bit lookup of their own.
 
     At the root, each candidate's phi in merge order (its cost and product
     as the merges added and multiplied them) differs from its phi in id
     order by rounding only, far below a relative 1e-12. So only the
-    candidates within 1e-12 of the least merge-order phi can win: just
-    those go on to _best_by_phi, which rescores them in id order.
+    candidates within 1e-12 of the least merge-order phi can win: a lone
+    one is the answer as it is, and several go on to _best_by_phi, which
+    rescores them in id order.
 
     A first pass keeps only the ranges below kept = the dyadic range of
     _phi_upper_bound: it drops the bands and unions that cost 2**kept or
-    more, on the same tree. Each range keeps its best union independently,
-    and a union's parts cost less than it does, so that pass's root is the
-    full root less its candidates costing 2**kept or more. Their phi is at
-    least their cost, so a best phi below 2**kept is final; otherwise the
-    merge runs again over all r ranges.
+    more. Each range keeps its best union independently, and a union's
+    parts cost less than it does, so that pass's root is the full root less
+    its candidates costing 2**kept or more. Their phi is at least their
+    cost, so a best phi below 2**kept is final; otherwise the merge runs
+    again over all r ranges.
     """
     beta = ctx.miss_penalty
     if beta < 2.0:
@@ -444,66 +448,86 @@ def select_pgm(ctx: SelectionContext) -> Selection:
     one = _at_most_one(ctx)
     if one is not None:
         return one
-    by_id = _by_id(ctx.candidates)
-    order = sorted(by_id, key=_RHO_ID)
-    kept = min(num_ranges, math.frexp(_phi_upper_bound(order, beta))[1])
-    for limit in sorted({kept, num_ranges}):
-        best = _pgm_pass(order, by_id, beta, num_ranges, limit)
-        # A candidate's range comes from its cost summed in merge order, phi
-        # sums the same costs in id order; the margin covers the rounding.
-        if _phi_by_id(best, beta) < math.ldexp(1.0 - 1e-12, limit):
-            break
+    by_id = sorted(ctx.candidates, key=_ID)
+    # Ids are distinct, so the sort never compares past them.
+    ranked = sorted([(p.mis_ratio, p.id, 1 << j, p.access_cost, p) for j, p in enumerate(by_id)])
+    kept = min(num_ranges, math.frexp(_phi_upper_bound(list(map(_PROFILE, ranked)), beta))[1])
+    best = _pgm_pass(ranked, by_id, beta, kept)
+    # A candidate's range comes from its cost summed in merge order, phi sums
+    # the same costs in id order; the margin covers the rounding.
+    if kept < num_ranges and not _phi_by_id(best, beta) < math.ldexp(1.0 - 1e-12, kept):
+        best = _pgm_pass(ranked, by_id, beta, num_ranges)
     return best
 
 
 def _pgm_pass(
-    order: Sequence[DatastoreProfile],
+    ranked: Sequence[tuple],
     by_id: Sequence[DatastoreProfile],
     beta: float,
-    num_ranges: int,
     kept: int,
 ) -> Selection:
-    """select_pgm's merge tree over num_ranges bands, keeping only the bands
-    and unions that cost less than 2**kept, and its answer, which
-    _best_by_phi picks among the root candidates within 1e-12 of the least
-    merge-order phi. ``order`` holds the candidates in (misindication, id)
-    order, ``by_id`` in id order."""
-    bit = {p.id: 1 << j for j, p in enumerate(by_id)}
-    # None stands for a subtree of empty bands, whose list is [_PGM_EMPTY].
-    lists: list[list[tuple] | None] = [None] * num_ranges
-    for p in order:
-        cost = p.access_cost
+    """select_pgm's merge tree over the bands that cost less than 2**kept,
+    keeping only the unions that cost less than that too, and its answer:
+    the root's lone candidate within 1e-12 of the least merge-order phi, or
+    _best_by_phi's pick among several. ``ranked`` holds select_pgm's
+    (misindication, id, bit, cost, profile) tuples in that order, ``by_id``
+    the candidates in id order.
+
+    A call pays for the bands the context fills, not for the whole tree: a
+    subtree of empty bands has the list [_PGM_EMPTY], and merging with it
+    only passes a list up, so _pgm_tree walks the tree over the filled
+    bands alone.
+    """
+    bands: dict[int, list[tuple]] = {}
+    for rho, _, bit, cost, _ in ranked:
         j = math.frexp(cost)[1] - 1
         if j < kept:
-            band = lists[j]
+            band = bands.get(j)
             if band is None:
-                band = lists[j] = [_PGM_EMPTY]
-            mis, total, mask = band[-1]
-            band.append((mis * p.mis_ratio, total + cost, mask | bit[p.id]))
-    # A merge with [_PGM_EMPTY] keeps a list's best candidate per range, as a
-    # list out of a merge already is: past the leaves, a lone subtree passes
-    # up as it is. _merge mutates no input, so one empty list serves a pass.
-    empty = [_PGM_EMPTY]
-    leaves = True
-    while len(lists) > 1:
-        if len(lists) % 2:
-            lists.append(None)
-        merged = []
-        for left, right in zip(lists[::2], lists[1::2]):
-            if left and right:
-                merged.append(_merge(left, right, kept))
-            elif leaves and (left or right):
-                merged.append(_merge(left or empty, right or empty, kept))
+                bands[j] = [_PGM_EMPTY, (rho, cost, bit)]
             else:
-                merged.append(left or right)
-        lists = merged
-        leaves = False
-    root = lists[0] or empty
-    scored = [(cost + beta * mis, mask) for mis, cost, mask in root]
-    least = min(value for value, _ in scored)
+                mis, total, mask = band[-1]
+                band.append((mis * rho, total + cost, mask | bit))
+    root = _pgm_tree(sorted(bands.items()), kept) if bands else [_PGM_EMPTY]
+    least = math.inf
+    for mis, cost, _ in root:
+        value = cost + beta * mis
+        if value < least:
+            least = value
     limit = least + least * 1e-12
-    within = [mask for value, mask in scored if value <= limit]
+    within = [mask for mis, cost, mask in root if cost + beta * mis <= limit]
+    if len(within) == 1:
+        return tuple([p for j, p in enumerate(by_id) if within[0] >> j & 1])
     return _best_by_phi(([p for j, p in enumerate(by_id) if m >> j & 1] for m in within), beta)
+
+
+def _pgm_tree(nodes: list[tuple[int, list[tuple]]], kept: int) -> list[tuple]:
+    """The root of the merge tree over (leaf index, band) nodes in index
+    order, walked a level at a time over the filled nodes only. Band j is
+    leaf j, and two nodes are siblings when their indexes differ in the
+    lowest bit only: a node merges with its sibling when that is filled too.
+    A lone leaf merges with [_PGM_EMPTY], which keeps its best prefix per
+    range; a band of one store is already that and passes up as it is.
+    Above the leaves a lone node passes up as it is, since a list out of a
+    merge already keeps one candidate per range."""
+    leaves = True
+    while True:
+        up = []
+        i = 0
+        while i < len(nodes):
+            index, merged = nodes[i]
+            if i + 1 < len(nodes) and nodes[i + 1][0] == index ^ 1:
+                merged = _merge(merged, nodes[i + 1][1], kept)
+                i += 2
+            else:
+                if leaves and len(merged) > 2:
+                    merged = _merge(merged, [_PGM_EMPTY], kept)
+                i += 1
+            up.append((index >> 1, merged))
+        if len(up) == 1:
+            return up[0][1]
+        nodes = up
+        leaves = False
 
 
 # select_exhaustive builds the sums of at most 2**16 subsets at a time.

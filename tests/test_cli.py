@@ -61,6 +61,12 @@ def test_analyze_step_one(capsys):
     assert [float(r["hit"]) for r in rows] == [0.0, 1.0]
 
 
+def test_analyze_refuses_a_hit_step_too_fine_to_build(capsys):
+    code, out, err = run_cli(["analyze", "--hit-step", "1e-9"], capsys)
+    assert code == 2 and out == ""
+    assert "step 1e-09 gives more than 1000000 hit ratios" in err
+
+
 def test_analyze_zero_fpr_collapses_fpo_to_perfect(capsys):
     code, out, _ = run_cli(["analyze", "--fpr", "0"], capsys)
     assert code == 0

@@ -2,7 +2,10 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dss.core import (
@@ -92,6 +95,31 @@ def test_selection_context_validation():
     with pytest.raises(ValueError):
         # costs normalized so the cheapest store is at least 1
         SelectionContext((DatastoreProfile(1, 0.5, 0.5),), 100.0)
+
+
+def test_fields_and_penalties_that_are_no_real_number_are_refused():
+    # A bool, a str, None and a Decimal are refused as an out-of-range value
+    # is, with the same ValueError; ints, numpy numbers and a Fraction are
+    # real numbers and are kept as they came.
+    a = DatastoreProfile(1, 1.0, 0.5)
+    for bad in (True, False, np.True_, "2", None, Decimal(2)):
+        with pytest.raises(ValueError, match=r"access_cost must be finite and >= 0"):
+            DatastoreProfile(0, bad, 0.1)
+        with pytest.raises(ValueError, match=r"mis_ratio must lie in \[0, 1\)"):
+            DatastoreProfile(0, 1.0, bad)
+        with pytest.raises(ValueError, match="miss_penalty must be finite and >= 1"):
+            SelectionContext((a,), bad)
+        with pytest.raises(ValueError, match="miss_penalty must be finite and >= 1"):
+            SelectionContext((), bad)
+        with pytest.raises(ValueError, match="miss_penalty must be finite and >= 1"):
+            expected_cost([], bad)
+    for cost, rho, beta in ((2, 0, 5), (np.float64(2.0), np.float64(0.25), np.int64(5)),
+                            (np.int64(2), Fraction(1, 4), Fraction(9, 2))):
+        p = DatastoreProfile(0, cost, rho)
+        assert (p.access_cost, p.mis_ratio) == (cost, rho)
+        assert type(p.access_cost) is type(cost) and type(p.mis_ratio) is type(rho)
+        assert SelectionContext((p,), beta).miss_penalty == beta
+        assert expected_cost([p], beta).total == cost + beta * rho
 
 
 def test_trusted_context_equals_the_checked_one():

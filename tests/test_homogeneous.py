@@ -190,6 +190,15 @@ def test_hit_grid():
         hit_grid(0.0)
 
 
+def test_hit_grid_refuses_a_step_that_gives_too_many_points():
+    # 1e-5 gives 100,001 points; 1e-6 would give 1,000,001 and is refused
+    # before any is built, as are the steps far below it.
+    assert len(hit_grid(1e-5)) == 100_001
+    for step in (1e-6, 1e-9, 5e-324):
+        with pytest.raises(ValueError, match=f"step {step} gives more than 1000000 hit ratios"):
+            hit_grid(step)
+
+
 def test_sweep_csv_shape():
     points = homogeneous_sweep(20, 0.02, 100.0)
     assert len(points) == 21

@@ -61,8 +61,9 @@ from dss.strategies import (
     select_pgm,
     select_pot,
 )
-from dss.sim import _store_ranking, designated_stores
+from dss.sim import SimConfig, _store_ranking, designated_stores, run
 from dss.topology import Edge, Topology, cost_matrix, default_topology, min_hop_max_bottleneck
+from dss.workload import zipf_trace
 from test_knapsack import reference_solve
 
 # Profits that add up exactly (0.5 + 0.5 == 1.0) make ties, which the sweep
@@ -475,6 +476,41 @@ def test_selectors_equal_their_references_on_select_mix_shapes():
             assert select_exhaustive(ctx) == brute_force_opt(ctx)
 
 
+def simulator_contexts(seed):
+    """Every distinct non-empty context that a hot-shaped grid hands its
+    selectors: 2000 Zipf(1.0) requests over 20k items, capacity 40, fpr
+    0.02, beta 100 and k in {1, 5}, gathered by each run's observer. Their
+    ratios are the estimator's (0, 0.5, ratios of counts), their costs
+    repeat along one client's row, and they hold 2-8 candidates past k=1."""
+    seen = {}
+
+    def observe(item, client, ctx, chosen, paid, hit, placed):
+        if ctx.candidates:
+            key = (tuple((p.id, p.access_cost, p.mis_ratio) for p in ctx.candidates),
+                   ctx.miss_penalty)
+            seen.setdefault(key, ctx)
+
+    trace = zipf_trace(2000, 20_000, 1.0, seed=seed)
+    for k in (1, 5):
+        for strategy in ("pi", "cpi", "epi", "pot", "umb", "pgm"):
+            config = SimConfig(strategy=strategy, miss_penalty=100.0, locations_per_item=k,
+                               store_capacity=40, target_fpr=0.02, seed=seed)
+            run(config, trace=trace, _observe=observe)
+    return list(seen.values())
+
+
+def test_selectors_equal_their_references_on_simulator_contexts():
+    contexts = simulator_contexts(seed=3)
+    sizes = Counter(ctx.n_positive for ctx in contexts)
+    assert min(sizes) == 1 and max(sizes) >= 6, sizes
+    assert any(p.mis_ratio == 0.0 for ctx in contexts for p in ctx.candidates)
+    for ctx in contexts:
+        assert outcome(select_pgm, ctx) == outcome(reference_pgm, ctx)
+        assert outcome(select_dsalg_knap, ctx) == outcome(reference_knap, ctx)
+        assert outcome(select_pot, ctx) == outcome(reference_pot, ctx)
+        assert outcome(select_dsalg_pp, ctx) == outcome(reference_pp, ctx)
+
+
 def test_a_bound_too_low_forces_both_second_passes():
     """With the bound at 1.0 the first passes cover budget 1 and range 1.
     On two or more candidates, whenever the answer's phi is at least 2 the
@@ -486,9 +522,9 @@ def test_a_bound_too_low_forces_both_second_passes():
         budgets.append(max_budget)
         return _runs(items, max_budget)
 
-    def pass_spy(order, by_id, beta, num_ranges, kept):
+    def pass_spy(ranked, by_id, beta, kept):
         passes.append(kept)
-        return pgm_pass(order, by_id, beta, num_ranges, kept)
+        return pgm_pass(ranked, by_id, beta, kept)
 
     forced = Counter()
     with mock.patch.object(dss.strategies, "_phi_upper_bound", lambda order, beta: 1.0), \
@@ -573,8 +609,8 @@ PGM_ROUNDING_CASE = SelectionContext(
 )
 
 
-# Every cost lies in [2, 4): band 0 is empty and band 1 is not, so the leaf
-# level merges a lone band on the right, as _merge([_PGM_EMPTY], band).
+# Every cost lies in [2, 4): band 0 is empty and band 1 is not, so band 1,
+# of three stores, is alone at its leaf and merges with [_PGM_EMPTY].
 PGM_RIGHT_LONE_CASE = SelectionContext(
     (
         DatastoreProfile(3, 2.5, 0.3),
@@ -597,31 +633,39 @@ def test_pgm_equals_the_reference_on_pooled_contexts(ctx):
 @given(pooled_contexts())
 @example(PGM_ROUNDING_CASE)
 def test_pgm_hands_best_by_phi_the_root_candidates_within_the_window(ctx):
-    """Each pass of pgm hands _best_by_phi exactly the candidates of its root
-    whose merge-order phi lies within 1e-12 of the root's least, and at least
-    one."""
+    """Each pass of pgm answers from exactly the candidates of its root
+    whose merge-order phi lies within 1e-12 of the root's least: a lone one
+    is the pass's answer as it is, with no rescore, and several go to
+    _best_by_phi, all of them and nothing else."""
     passes = []
     real_pass, real_best = pgm_pass, dss.strategies._best_by_phi
 
-    def pass_spy(order, by_id, beta, num_ranges, kept):
-        passes.append((num_ranges, kept, []))
-        return real_pass(order, by_id, beta, num_ranges, kept)
+    def pass_spy(ranked, by_id, beta, kept):
+        handed = []
+        passes.append((kept, handed))
+        answer = real_pass(ranked, by_id, beta, kept)
+        passes[-1] += (tuple(p.id for p in answer),)
+        return answer
 
     def best_spy(candidates, miss_penalty):
         candidates = [list(c) for c in candidates]
-        passes[-1][2].extend(tuple(p.id for p in c) for c in candidates)
+        passes[-1][1].extend(tuple(p.id for p in c) for c in candidates)
         return real_best(candidates, miss_penalty)
 
     with mock.patch.object(dss.strategies, "_pgm_pass", pass_spy), \
             mock.patch.object(dss.strategies, "_best_by_phi", best_spy):
         select_pgm(ctx)
     beta = ctx.miss_penalty
-    for num_ranges, kept, handed in passes:
+    num_ranges = exact_range_count(beta)
+    for kept, handed, answer in passes:
         scored = [(c.cost + beta * c.mis_product, c.ids)
                   for c in reference_root(ctx, num_ranges, kept)]
         least = min(value for value, _ in scored)
         within = sorted(ids for value, ids in scored if value <= least + least * 1e-12)
-        assert handed and sorted(handed) == within
+        if len(within) == 1:
+            assert handed == [] and answer == within[0]
+        else:
+            assert sorted(handed) == within
     assert bool(passes) == (ctx.n_positive >= 2)  # else the closed form answers
 
 
