@@ -21,6 +21,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
+from .workload import _integer
+
 # Largest representable misindication ratio; rho == 1 would make a store
 # useless and breaks the closed forms, so callers clamp just below it.
 RHO_MAX = 1.0 - 1e-12
@@ -72,15 +74,17 @@ def clamp_mis_ratio(value: float) -> float:
     return min(max(value, 0.0), RHO_MAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatastoreProfile:
     """One candidate store as a selection strategy sees it.
 
-    ``access_cost`` is the cost of querying the store from the current
-    client; ``mis_ratio`` is the probability the store does not hold the item
-    despite its positive indication. Each must be a real number (a float,
-    or a ``numbers.Real`` that is not a bool); anything else is refused
-    with the same ValueError as an out-of-range value.
+    ``id`` is an integer (any ``operator.index`` integer, numpy's too, kept
+    as an ``int``; a bool is refused). ``access_cost`` is the cost of
+    querying the store from the current client; ``mis_ratio`` is the
+    probability the store does not hold the item despite its positive
+    indication. Each must be a real number (a float, or a ``numbers.Real``
+    that is not a bool); anything else is refused with the same ValueError
+    as an out-of-range value.
     """
 
     id: int
@@ -88,6 +92,8 @@ class DatastoreProfile:
     mis_ratio: float
 
     def __post_init__(self) -> None:
+        if type(self.id) is not int:
+            object.__setattr__(self, "id", _integer("id", self.id, None))
         cost = self.access_cost
         if not ((type(cost) is float or _is_real(cost)) and math.isfinite(cost) and cost >= 0.0):
             raise ValueError(f"access_cost must be finite and >= 0, got {cost}")
@@ -98,39 +104,50 @@ class DatastoreProfile:
     @classmethod
     def _trusted(cls, id: int, access_cost: float, mis_ratio: float) -> DatastoreProfile:
         """A profile built without ``__post_init__``'s checks, for a caller
-        whose inputs pass them by construction: a finite float access cost
-        >= 0 and a float mis ratio in [0, 1). Equal to
+        whose inputs pass them by construction: an int id, a finite float
+        access cost >= 0 and a float mis ratio in [0, 1). Equal to
         ``DatastoreProfile(id, access_cost, mis_ratio)``. The fields go
-        straight into the instance dict, past the frozen ``__setattr__``."""
+        straight into their slots through the slots' descriptors, past the
+        frozen ``__setattr__``."""
         profile = object.__new__(cls)
-        fields = profile.__dict__
-        fields["id"] = id
-        fields["access_cost"] = access_cost
-        fields["mis_ratio"] = mis_ratio
+        _set_profile_id(profile, id)
+        _set_profile_access_cost(profile, access_cost)
+        _set_profile_mis_ratio(profile, mis_ratio)
         return profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionContext:
     """Everything a strategy may look at for one request.
 
-    ``candidates`` are the stores with a positive indication, with distinct
-    ids and access costs normalized so the cheapest possible store costs at
-    least 1. ``miss_penalty`` is the cost of retrieving the item from the
-    origin after accessing no store that holds it: a real number, not a
-    bool, as in DatastoreProfile.
+    ``candidates`` are the stores with a positive indication: an iterable of
+    DatastoreProfile (kept as a tuple) with distinct ids and access costs
+    normalized so the cheapest possible store costs at least 1.
+    ``miss_penalty`` is the cost of retrieving the item from the origin
+    after accessing no store that holds it: a real number, not a bool, as
+    in DatastoreProfile.
     """
 
     candidates: tuple[DatastoreProfile, ...]
     miss_penalty: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        ids = [p.id for p in self.candidates]
+        try:
+            iter(self.candidates)
+        except TypeError:
+            raise ValueError(
+                f"candidates must be an iterable of DatastoreProfile, got {self.candidates!r}"
+            ) from None
+        candidates = tuple(self.candidates)
+        for p in candidates:
+            if not isinstance(p, DatastoreProfile):
+                raise ValueError(f"candidates must be DatastoreProfiles, got {p!r}")
+        object.__setattr__(self, "candidates", candidates)
+        ids = [p.id for p in candidates]
         if len(set(ids)) != len(ids):
             raise ValueError("candidate ids must be distinct")
         _check_miss_penalty(self.miss_penalty)
-        for p in self.candidates:
+        for p in candidates:
             if p.access_cost < 1.0:
                 raise ValueError(
                     f"access costs are normalized to >= 1, got {p.access_cost} for id {p.id}"
@@ -144,16 +161,26 @@ class SelectionContext:
         whose inputs pass them by construction: a tuple of profiles with
         distinct ids and access costs >= 1, and a finite miss penalty >= 1.
         Equal to ``SelectionContext(candidates, miss_penalty)``. The fields
-        go straight into the instance dict, past the frozen ``__setattr__``."""
+        go straight into their slots, as in ``DatastoreProfile._trusted``."""
         ctx = object.__new__(cls)
-        fields = ctx.__dict__
-        fields["candidates"] = candidates
-        fields["miss_penalty"] = miss_penalty
+        _set_context_candidates(ctx, candidates)
+        _set_context_miss_penalty(ctx, miss_penalty)
         return ctx
 
     @property
     def n_positive(self) -> int:
         return len(self.candidates)
+
+
+# The slots' member descriptors, bound once: their ``__set__`` fills a slot
+# of a frozen instance past the ``__setattr__`` that refuses it. Slots, and
+# never an instance ``__dict__``: once CPython 3.11+ has made an instance's
+# dict, every later load of one of its fields is a dict lookup.
+_set_profile_id = DatastoreProfile.id.__set__
+_set_profile_access_cost = DatastoreProfile.access_cost.__set__
+_set_profile_mis_ratio = DatastoreProfile.mis_ratio.__set__
+_set_context_candidates = SelectionContext.candidates.__set__
+_set_context_miss_penalty = SelectionContext.miss_penalty.__set__
 
 
 @dataclass(frozen=True)

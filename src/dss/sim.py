@@ -339,10 +339,11 @@ def run(
     # a moving average of such ratios, never NaN and never below 0, so
     # capping it at RHO_MAX is clamp_mis_ratio; the costs are floats >= 1.
     profile_cache = [[None] * n_stores for _ in range(n_stores)]
+    new_profile, new_context = DatastoreProfile._trusted, SelectionContext._trusted
 
     # Every strategy selects nothing from no candidates (SimConfig probed
     # the empty context), so a request with no positives calls none.
-    empty = SelectionContext._trusted((), beta)
+    empty = new_context((), beta)
 
     access_total = 0.0
     misses = 0
@@ -364,10 +365,10 @@ def run(
                 estimate = estimators[j].estimate
                 entry = cached[j]
                 if entry is None or entry[0] != estimate:
-                    profile = DatastoreProfile._trusted(j, row[j], min(estimate, RHO_MAX))
+                    profile = new_profile(j, row[j], min(estimate, RHO_MAX))
                     entry = cached[j] = (estimate, profile)
                 profiles.append(entry[1])
-            ctx = SelectionContext._trusted(tuple(profiles), beta)
+            ctx = new_context(tuple(profiles), beta)
             chosen = strategy(ctx)
         else:
             ctx, chosen = empty, ()

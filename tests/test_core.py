@@ -1,6 +1,9 @@
 """Core domain model: indication probabilities and the expected-cost objective."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -122,6 +125,20 @@ def test_fields_and_penalties_that_are_no_real_number_are_refused():
         assert expected_cost([p], beta).total == cost + beta * rho
 
 
+def assert_slotted_and_frozen(instance):
+    # No instance dict: its fields live in slots, so loading one is no dict
+    # lookup. Copies and pickles come back equal, and no field can be
+    # assigned.
+    assert not hasattr(instance, "__dict__")
+    for again in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
+                  copy.deepcopy(instance)):
+        assert type(again) is type(instance) and again == instance
+        assert hash(again) == hash(instance)
+    for field in dataclasses.fields(instance):
+        with pytest.raises(AttributeError):
+            setattr(instance, field.name, getattr(instance, field.name))
+
+
 def test_trusted_context_equals_the_checked_one():
     # Both private constructors equal the checked public ones.
     fields = ((3, 1.0, 0.0), (0, 7.0, 0.25), (9, 2.5, RHO_MAX), (4, 0.0, 0.5))
@@ -133,13 +150,42 @@ def test_trusted_context_equals_the_checked_one():
         assert repr(trusted) == repr(checked)
         with pytest.raises(AttributeError):  # as frozen as a checked one
             trusted.mis_ratio = 0.5
+        assert_slotted_and_frozen(trusted)
+        assert_slotted_and_frozen(checked)
     stores = tuple(DatastoreProfile._trusted(*f) for f in fields[:3])
     for candidates in ((), stores[:1], stores):
         for beta in (1.0, 100.0):
             trusted = SelectionContext._trusted(candidates, beta)
+            checked = SelectionContext(candidates, beta)
             assert type(trusted) is SelectionContext
-            assert trusted == SelectionContext(candidates, beta)
+            assert trusted == checked
             assert trusted.n_positive == len(candidates)
+            assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+            assert_slotted_and_frozen(trusted)
+            assert_slotted_and_frozen(checked)
+
+
+def test_ids_and_candidates_that_are_no_profiles_are_refused():
+    # An id is an integer: a str, None, a float or a bool (numpy's too) is
+    # refused, and a numpy integer is kept as an int: mixed str and int ids
+    # would reach the selectors' id sort and fail there with a TypeError.
+    for bad in ("a", None, 1.0, True, np.True_, Decimal(1)):
+        with pytest.raises(ValueError, match="id must be an integer, got"):
+            DatastoreProfile(bad, 1.0, 0.1)
+    for good in (np.int64(4), np.uint8(4), 4):
+        p = DatastoreProfile(good, 1.0, 0.1)
+        assert type(p.id) is int and p == DatastoreProfile(4, 1.0, 0.1)
+    a = DatastoreProfile(1, 1.0, 0.5)
+    for bad in (None, 5, 1.5, a):
+        with pytest.raises(ValueError, match="candidates must be an iterable of DatastoreProfile"):
+            SelectionContext(bad, 100.0)
+    for candidates, first in (((a, "a"), "'a'"), (["a", None], "'a'"), ((a, None), "None"),
+                              ("ab", "'a'"), (((1, 1.0, 0.5),), r"\(1, 1.0, 0.5\)")):
+        with pytest.raises(ValueError, match=f"candidates must be DatastoreProfiles, got {first}"):
+            SelectionContext(candidates, 100.0)
+    # Any iterable of profiles is kept as a tuple.
+    assert SelectionContext(iter([a]), 100.0) == SelectionContext([a], 100.0)
+    assert SelectionContext([a], 100.0).candidates == (a,)
 
 
 def test_expected_cost_two_stores():

@@ -554,6 +554,23 @@ def test_observer_is_called_once_per_request_with_what_the_loop_held():
             metrics.requests, metrics.access_cost, metrics.misses)
 
 
+def test_observed_contexts_and_profiles_have_no_instance_dict():
+    # run builds its contexts and profiles through the private constructors,
+    # which fill slots: an instance dict would make every field load a dict
+    # lookup on CPython 3.11+.
+    seen = []
+
+    def observe(item, client, ctx, chosen, paid, hit, placed):
+        seen.append(ctx)
+
+    for name in ("pgm", "cpi"):
+        config = SimConfig(strategy=name, locations_per_item=3, store_capacity=40, seed=4)
+        run(config, trace=zipf_trace(600, 200, seed=5), _observe=observe)
+    profiles = [p for ctx in seen for p in ctx.candidates]
+    assert profiles and seen
+    assert not any(hasattr(x, "__dict__") for x in seen + profiles)
+
+
 def test_k_cannot_exceed_store_count():
     config = SimConfig(strategy="cpi", locations_per_item=4)
     with pytest.raises(ValueError):
